@@ -35,7 +35,6 @@ from .fetch import (
     plan_fetch,
 )
 from .grasp import (
-    InsertionCandidate,
     SolveResult,
     construct_route,
     enumerate_insertions,
@@ -89,7 +88,6 @@ __all__ = [
     "FetchRequest",
     "IncompleteMatrixError",
     "InputError",
-    "InsertionCandidate",
     "Instance",
     "InvariantError",
     "LiveBackend",

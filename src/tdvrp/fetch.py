@@ -282,6 +282,8 @@ class LiveBackend:
 #
 # Append-only JSON lines, one element each:
 #   {"o": origin_index, "d": destination_index, "t": departure_epoch, "s": seconds}
+# Every record ends with a newline, so an unterminated last line is a write
+# cut short by a crash: readers skip it and the next fetch cuts it off.
 
 
 def read_cache_file(path) -> dict:
@@ -290,6 +292,8 @@ def read_cache_file(path) -> dict:
         return records
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.endswith("\n"):
+                break  # torn last record
             line = line.strip()
             if not line:
                 continue
@@ -299,6 +303,19 @@ def read_cache_file(path) -> dict:
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
     return records
+
+
+def _cut_torn_record(path) -> None:
+    """Truncate the cache after its last newline, so appends start a line."""
+    with open(path, "r+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
 def _append_cache(fh, o: int, d: int, t: int, s: int) -> None:
@@ -333,6 +350,8 @@ def execute_fetch(
         raise InputError(f"plan covers {n} nodes but instance has {instance.n_nodes}")
     coords = instance.coordinates()
     cache = read_cache_file(cache_path)
+    if cache_path is not None and os.path.exists(cache_path):
+        _cut_torn_record(cache_path)
     cache_fh = open(cache_path, "a", encoding="utf-8") if cache_path else None
     completed = 0
     try:

@@ -8,9 +8,13 @@ cost savings, savings recomputed after every deletion), reinsert them
 first-deleted-first-reinserted at one of their k_ins cheapest slots, and keep
 the round's result only if it beats the best tour so far.
 
-Every candidate delta is a full re-evaluation of the modified tour: in a
-time-dependent matrix an insertion shifts all downstream departure times, so
-local two-arc arithmetic would be wrong.
+Every candidate is priced on the whole tour it would make: in a
+time-dependent matrix an insertion or deletion shifts all downstream
+departure times, so local two-arc arithmetic would be wrong. A move at slot p
+leaves departures 0..p unchanged, though, so each candidate starts from the
+cached departure of its slot and only re-walks the rest of the tour, and all
+candidates of one move advance together, one array step per arc
+(`model._advance`).
 
 All randomness comes from one numpy PCG64 stream seeded once per solve, and
 every candidate list is sorted with deterministic tie-breaks, so results are
@@ -21,7 +25,8 @@ search degenerates to pure greedy and the seed does not matter at all.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -32,17 +37,11 @@ from .model import (
     Route,
     Schedule,
     SolverParams,
+    _advance,
     _order_schedule,
 )
 
 RNG_ALGORITHM = "numpy-pcg64"
-
-
-@dataclass(frozen=True)
-class InsertionCandidate:
-    node: int
-    position: int
-    delta_cost: int | float
 
 
 @dataclass(frozen=True)
@@ -55,27 +54,79 @@ class SolveResult:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def _cost(order, matrix) -> int | float:
-    return _order_schedule(order, matrix).total_cost
+def _result(order, trace, matrix: MultiLayerMatrix, params: SolverParams) -> SolveResult:
+    route = Route(order)
+    return SolveResult(
+        best_route=route,
+        best_schedule=_order_schedule(route.order, matrix),
+        cost_trace=tuple(trace),
+        params=params,
+        seed=params.seed,
+    )
 
 
-def enumerate_insertions(partial, remaining, matrix: MultiLayerMatrix):
+def _insertion_deltas(order, nodes, matrix: MultiLayerMatrix) -> np.ndarray:
+    """Cost change of inserting each of `nodes` at each slot of `order`, as
+    a (slots x nodes) grid.
+
+    Lane (p, node) leaves the node before slot p at the tour's p-th
+    departure, drives to `node` and then walks order[p:] back to the depot.
+    """
+    sched = _order_schedule(order, matrix)
+    nodes = np.asarray(nodes, dtype=np.intp)
+    tail = np.array([*order, 0], dtype=np.intp)
+    prev = np.array([0, *order], dtype=np.intp)
+    slots = len(tail)
+    k = np.repeat(
+        np.array(sched.departures, dtype=matrix.times.dtype)[:, None], len(nodes), axis=1
+    )
+    steps = chain(
+        [np.broadcast_to(nodes, (slots, len(nodes)))],
+        (tail[j:, None] for j in range(slots)),
+    )
+    return _advance(k, prev[:, None], steps, matrix) - sched.total_cost
+
+
+def _deletion_savings(order, matrix: MultiLayerMatrix) -> np.ndarray:
+    """Cost saved by deleting each client of `order`.
+
+    Lane idx leaves the node before order[idx] at the tour's idx-th
+    departure and walks order[idx + 1:] back to the depot.
+    """
+    sched = _order_schedule(order, matrix)
+    if len(order) == 1:
+        # the tour left is empty and costs 0; there is no arc to walk
+        return np.array([sched.total_cost])
+    k = np.array(sched.departures[:-1], dtype=matrix.times.dtype)
+    cur = np.array([0, *order[:-1]], dtype=np.intp)
+    tail = np.array([*order[1:], 0], dtype=np.intp)
+    steps = (tail[j:] for j in range(len(tail)))
+    return sched.total_cost - _advance(k, cur, steps, matrix)
+
+
+def enumerate_insertions(partial, remaining, matrix: MultiLayerMatrix) -> np.recarray:
     """All (node, slot) insertions of `remaining` into the partial tour,
-    sorted by cost delta, ties broken by (node, position)."""
+    sorted by cost delta, ties broken by (node, position).
+
+    One record per candidate, with fields `node`, `position` and
+    `delta_cost`.
+    """
     order = tuple(partial.order if isinstance(partial, Route) else partial)
     nodes = sorted(remaining)
     if set(nodes) & set(order):
         raise InputError("remaining nodes overlap the partial route")
-    base = _cost(order, matrix)
-    candidates = []
-    for node in nodes:
-        for pos in range(len(order) + 1):
-            trial = order[:pos] + (node,) + order[pos:]
-            candidates.append(
-                InsertionCandidate(node, pos, _cost(trial, matrix) - base)
-            )
-    candidates.sort(key=lambda c: (c.delta_cost, c.node, c.position))
-    return candidates
+    slots = len(order) + 1
+    # node-major, so a stable sort breaks delta ties by (node, position)
+    deltas = _insertion_deltas(order, nodes, matrix).T.ravel()
+    ranked = np.argsort(deltas, kind="stable")
+    candidates = np.empty(
+        len(ranked),
+        dtype=[("node", np.intp), ("position", np.intp), ("delta_cost", deltas.dtype)],
+    )
+    candidates["node"] = np.array(nodes, dtype=np.intp)[ranked // slots]
+    candidates["position"] = ranked % slots
+    candidates["delta_cost"] = deltas[ranked]
+    return candidates.view(np.recarray)
 
 
 def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng) -> Route:
@@ -87,13 +138,11 @@ def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng) -> Route:
     remaining = set(range(1, matrix.n_nodes))
     while remaining:
         candidates = enumerate_insertions(order, remaining, matrix)
-        pool = candidates[: min(k_grasp, len(candidates))]
-        pick = pool[int(rng.integers(0, len(pool)))]
-        order = order[: pick.position] + (pick.node,) + order[pick.position :]
-        remaining.discard(pick.node)
-    route = Route(order)
-    _assert_complete(route, matrix.n_nodes)
-    return route
+        pick = candidates[int(rng.integers(0, min(k_grasp, len(candidates))))]
+        node, position = int(pick.node), int(pick.position)
+        order = order[:position] + (node,) + order[position:]
+        remaining.discard(node)
+    return Route(order)
 
 
 def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
@@ -102,22 +151,15 @@ def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResul
     The cost trace lists every trial's cost in trial order.
     """
     trace = []
-    best_route = None
+    best_order = None
     best_cost = None
     for _ in range(params.n_grasp):
-        route = construct_route(matrix, params.k_grasp, rng)
-        cost = _cost(route.order, matrix)
+        order = construct_route(matrix, params.k_grasp, rng).order
+        cost = _order_schedule(order, matrix).total_cost
         trace.append(cost)
         if best_cost is None or cost < best_cost:
-            best_route, best_cost = route, cost
-    _assert_complete(best_route, matrix.n_nodes)
-    return SolveResult(
-        best_route=best_route,
-        best_schedule=_order_schedule(best_route.order, matrix),
-        cost_trace=tuple(trace),
-        params=params,
-        seed=params.seed,
-    )
+            best_order, best_cost = order, cost
+    return _result(best_order, trace, matrix, params)
 
 
 def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
@@ -127,52 +169,30 @@ def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> Solve
     the best cost after each round, so it is non-increasing.
     """
     best = tuple(route.order if isinstance(route, Route) else route)
-    n_clients = len(best)
     if set(best) != set(range(1, matrix.n_nodes)):
         raise InputError("improvement needs a complete route over all clients")
-    if params.l_delete > n_clients:
+    if params.l_delete > len(best):
         raise InputError(
-            f"l_delete={params.l_delete} exceeds the {n_clients} clients in the route"
+            f"l_delete={params.l_delete} exceeds the {len(best)} clients in the route"
         )
-    best_cost = _cost(best, matrix)
+    best_cost = _order_schedule(best, matrix).total_cost
     trace = []
     for _ in range(params.n_improve):
         current = list(best)
         deleted = []
         for _ in range(params.l_delete):
-            base = _cost(tuple(current), matrix)
-            savings = []
-            for idx, node in enumerate(current):
-                rest = tuple(current[:idx] + current[idx + 1 :])
-                savings.append((base - _cost(rest, matrix), node, idx))
-            savings.sort(key=lambda s: (-s[0], s[1]))
-            pool = savings[: min(params.k_del, len(savings))]
-            _, node, idx = pool[int(rng.integers(0, len(pool)))]
-            del current[idx]
-            deleted.append(node)
+            savings = _deletion_savings(current, matrix)
+            pool = np.lexsort((current, -savings))[: params.k_del]
+            deleted.append(current.pop(int(pool[int(rng.integers(0, len(pool)))])))
         for node in deleted:
-            base = _cost(tuple(current), matrix)
-            slots = []
-            for pos in range(len(current) + 1):
-                trial = tuple(current[:pos] + [node] + current[pos:])
-                slots.append((_cost(trial, matrix) - base, pos))
-            slots.sort()
-            pool = slots[: min(params.k_ins, len(slots))]
-            _, pos = pool[int(rng.integers(0, len(pool)))]
-            current.insert(pos, node)
-        cost = _cost(tuple(current), matrix)
+            deltas = _insertion_deltas(current, [node], matrix)[:, 0]
+            pool = np.argsort(deltas, kind="stable")[: params.k_ins]
+            current.insert(int(pool[int(rng.integers(0, len(pool)))]), node)
+        cost = _order_schedule(current, matrix).total_cost
         if cost < best_cost:
             best, best_cost = tuple(current), cost
         trace.append(best_cost)
-    final = Route(best)
-    _assert_complete(final, matrix.n_nodes)
-    return SolveResult(
-        best_route=final,
-        best_schedule=_order_schedule(final.order, matrix),
-        cost_trace=tuple(trace),
-        params=params,
-        seed=params.seed,
-    )
+    return _result(best, trace, matrix, params)
 
 
 def solve(instance: Instance, matrix: MultiLayerMatrix, params: SolverParams) -> SolveResult:
@@ -185,31 +205,15 @@ def solve(instance: Instance, matrix: MultiLayerMatrix, params: SolverParams) ->
         raise InputError(
             f"matrix covers {matrix.n_nodes} nodes but instance has {instance.n_nodes}"
         )
-    if params.l_delete > instance.n_nodes - 1:
-        raise InputError(
-            f"l_delete={params.l_delete} exceeds the {instance.n_nodes - 1} clients"
-        )
     rng = np.random.default_rng(params.seed)
     constructed = run_grasp(matrix, params, rng)
     improved = improve(constructed.best_route, matrix, params, rng)
-    result = SolveResult(
-        best_route=improved.best_route,
-        best_schedule=improved.best_schedule,
-        cost_trace=constructed.cost_trace + improved.cost_trace,
-        params=params,
-        seed=params.seed,
-    )
-    _assert_complete(result.best_route, matrix.n_nodes)
-    if result.best_schedule.total_cost != _cost(result.best_route.order, matrix):
-        raise InvariantError("reported schedule does not match its route")
-    return result
-
-
-def _assert_complete(route: Route, n_nodes: int) -> None:
-    if not route.is_complete(n_nodes):
+    if not improved.best_route.is_complete(matrix.n_nodes):
         raise InvariantError(
-            f"route {list(route.order)} is not a permutation of clients 1..{n_nodes - 1}"
+            f"route {list(improved.best_route.order)} is not a permutation of "
+            f"clients 1..{matrix.n_nodes - 1}"
         )
+    return replace(improved, cost_trace=constructed.cost_trace + improved.cost_trace)
 
 
 def result_to_json(result: SolveResult) -> str:

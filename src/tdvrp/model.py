@@ -14,7 +14,7 @@ so any number of evaluations may share a matrix concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class MultiLayerMatrix:
     times: np.ndarray
     step_seconds: int
     closed: bool = False
-    _lookup: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.step_seconds) <= 0:
@@ -98,9 +97,6 @@ class MultiLayerMatrix:
         object.__setattr__(self, "step_seconds", int(self.step_seconds))
         arr = _as_times_array(self.times)
         object.__setattr__(self, "times", arr)
-        # nested lists make the evaluation inner loop ~5x faster than ndarray
-        # scalar indexing
-        object.__setattr__(self, "_lookup", arr.tolist())
 
     @property
     def n_layers(self) -> int:
@@ -205,14 +201,14 @@ def travel_time(i: int, j: int, k, matrix: MultiLayerMatrix):
         raise InputError(f"self-arc {i}->{i} has no travel time")
     if not (0 <= i < n) or not (0 <= j < n):
         raise InputError(f"arc {i}->{j} out of range for {n} nodes")
-    return matrix._lookup[layer_index(k, matrix)][i][j]
+    return matrix.times.item(layer_index(k, matrix), i, j)
 
 
 def _order_schedule(order, matrix: MultiLayerMatrix) -> Schedule:
     """Fast-path evaluation of a raw visit order (no validation)."""
     step = matrix.step_seconds
     last = matrix.n_layers - 1
-    rows = matrix._lookup
+    times = matrix.times
     k = 0
     departures = [0]
     prev = 0
@@ -220,15 +216,37 @@ def _order_schedule(order, matrix: MultiLayerMatrix) -> Schedule:
         s = int(k // step)
         if s > last:
             s = last
-        k = k + rows[s][prev][node]
+        k = k + times.item(s, prev, node)
         departures.append(k)
         prev = node
     if prev != 0:
         s = int(k // step)
         if s > last:
             s = last
-        k = k + rows[s][prev][0]
+        k = k + times.item(s, prev, 0)
     return Schedule(tuple(departures), k)
+
+
+def _advance(k, cur, steps, matrix: MultiLayerMatrix) -> np.ndarray:
+    """Walk a batch of lanes in lockstep; return their arrival times.
+
+    Lane r stands at node cur[r] at time k[r] (both may broadcast over
+    trailing axes). Each array in `steps` holds the next node of every lane
+    still moving; a lane finishes when its steps end, so each step covers a
+    leading slice of the lanes, never longer than the step before. Every arc
+    is priced on the layer of its lane's own departure and added in the
+    scalar walk's order, so integer and float sums match `_order_schedule`
+    bit for bit. `k` is advanced in place and returned.
+    """
+    times = matrix.times
+    step = matrix.step_seconds
+    last = matrix.n_layers - 1
+    for nxt in steps:
+        lanes = k[: len(nxt)]
+        layer = np.minimum(lanes // step, last).astype(np.intp, copy=False)
+        lanes += times[layer, cur[: len(nxt)], nxt]
+        cur = nxt
+    return k
 
 
 def evaluate_route(route, matrix: MultiLayerMatrix) -> Schedule:

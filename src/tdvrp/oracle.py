@@ -10,14 +10,18 @@ Miller-Tucker-Zemlin subtour-elimination condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import chain, permutations
 
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, MultiLayerMatrix, Route, Schedule, _order_schedule
+from .model import Instance, MultiLayerMatrix, Route, Schedule, _advance, _order_schedule
 
 DEFAULT_CLIENT_CAP = 10
+# the last BLOCK_CLIENTS clients of a tour are permuted in one batch of
+# at most 7! = 5,040 lanes
+BLOCK_CLIENTS = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +79,36 @@ def brute_force_optimum(
         raise InputError(
             f"{n_clients} clients exceeds the exhaustive-search cap of {max_clients}"
         )
+    clients = range(1, n)
+    width = min(n_clients, BLOCK_CLIENTS)
+    suffixes = _suffix_columns(width)
+    depot = np.zeros(suffixes.shape[1], dtype=np.intp)
     best_order = None
     best_cost = None
-    for perm in permutations(range(1, n)):
-        cost = _order_schedule(perm, matrix).total_cost
-        if best_cost is None or cost < best_cost:
-            best_order, best_cost = perm, cost
+    # prefixes come in lexicographic order and so do the suffixes behind
+    # each, so the first minimum found is the lexicographically smallest
+    for prefix in permutations(clients, n_clients - width):
+        rest = np.array(sorted(set(clients) - set(prefix)), dtype=np.intp)
+        k = np.full(len(depot), _order_schedule(prefix, matrix).departures[-1],
+                    dtype=matrix.times.dtype)
+        cur = np.array([prefix[-1] if prefix else 0], dtype=np.intp)
+        steps = chain((rest[column] for column in suffixes), [depot])
+        costs = _advance(k, cur, steps, matrix)
+        lane = int(np.argmin(costs))
+        if best_cost is None or costs[lane] < best_cost:
+            best_order = prefix + tuple(int(v) for v in rest[suffixes[:, lane]])
+            best_cost = costs[lane]
     route = Route(best_order)
     return route, _order_schedule(route.order, matrix)
+
+
+@lru_cache(maxsize=None)
+def _suffix_columns(width: int) -> np.ndarray:
+    """Every permutation of range(width) in lexicographic order, one column
+    per permutation (row j holds each permutation's j-th entry)."""
+    table = np.array(list(permutations(range(width))), dtype=np.intp).T.copy()
+    table.setflags(write=False)
+    return table
 
 
 def route_to_arcs(route: Route) -> ArcSolution:

@@ -41,7 +41,7 @@ def naive_departures(order, layers, step_seconds):
     departures = [0]
     path = [0] + order + ([0] if order else [])
     for a in range(len(path) - 1):
-        s = k // step_seconds
+        s = int(k // step_seconds)
         if s >= n_layers:
             s = n_layers - 1
         k = k + layers[s][path[a]][path[a + 1]]

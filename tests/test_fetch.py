@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from tdvrp.fetch import (
     execute_fetch,
     max_nodes_single_day,
     plan_fetch,
+    read_cache_file,
 )
 from tdvrp.model import matrix_to_json
 from tdvrp.synth import TrafficProfile
@@ -152,6 +155,33 @@ def test_warm_cache_issues_zero_requests(tmp_path):
     second = execute_fetch(plan, counting, inst, cache_path=cache)
     assert counting.calls == calls_after_first
     assert matrix_to_json(first) == matrix_to_json(second)
+
+
+def test_resume_over_a_cache_torn_mid_record(tmp_path):
+    # a kill mid-write leaves the last record without its newline
+    inst = grid_instance(5)
+    layers = random_layers(np.random.default_rng(3), 5, 2)
+    source = make_matrix(layers, 3600)
+    counting = CountingBackend(RecordedBackend.from_matrix(inst, source, START))
+    plan = plan_fetch(5, 2, step_seconds=3600, start_epoch=START)
+    cache = tmp_path / "cache.jsonl"
+    execute_fetch(plan, counting, inst, cache_path=cache)
+    data = cache.read_bytes()
+    line_start = data.rfind(b"\n", 0, len(data) // 2) + 1
+    line_end = data.index(b"\n", line_start)
+    cache.write_bytes(data[: (line_start + line_end) // 2])
+    assert len(read_cache_file(cache)) == data[:line_start].count(b"\n")
+
+    resumed = execute_fetch(plan, counting, inst, cache_path=cache)
+    assert np.array_equal(resumed.times, source.times)
+    text = cache.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    assert all(json.loads(line) for line in text.splitlines())
+
+    calls = counting.calls
+    warm = execute_fetch(plan, counting, inst, cache_path=cache)
+    assert counting.calls == calls
+    assert np.array_equal(warm.times, source.times)
 
 
 def test_cache_reruns_give_byte_identical_files(tmp_path):
