@@ -29,7 +29,6 @@ from .fetch import (
     LiveBackend,
     QuotaBudget,
     RecordedBackend,
-    SyntheticBackend,
     execute_fetch,
     max_nodes_single_day,
     plan_fetch,
@@ -104,7 +103,6 @@ __all__ = [
     "Schedule",
     "SolveResult",
     "SolverParams",
-    "SyntheticBackend",
     "TdvrpError",
     "TrafficProfile",
     "TransientBackendError",

@@ -127,8 +127,10 @@ def cmd_fetch(args) -> int:
         f"days needed at quota {plan.daily_quota}: {plan.days_needed}"
     )
     if args.backend == "synthetic":
-        # offline path: the generator produces the matrix directly
-        matrix = generate_synthetic(instance, args.layers, args.step_seconds, _profile_from(args))
+        # offline replay of a generated matrix: it bills nothing, so no quota
+        source = generate_synthetic(instance, args.layers, args.step_seconds, _profile_from(args))
+        client = fetch_mod.RecordedBackend.from_matrix(instance, source, start_epoch)
+        budget = None
     else:
         if args.backend == "recorded":
             if not args.recorded:
@@ -137,9 +139,8 @@ def cmd_fetch(args) -> int:
         else:
             client = fetch_mod.LiveBackend(api_key=args.api_key)
         budget = fetch_mod.QuotaBudget(daily_quota=args.daily_quota)
-        matrix = fetch_mod.execute_fetch(
-            plan, client, instance, cache_path=args.cache, budget=budget
-        )
+    matrix = fetch_mod.execute_fetch(plan, client, instance, cache_path=args.cache, budget=budget)
+    if budget is not None:
         print(f"quota usage: {budget.elements_used}/{budget.daily_quota} elements")
     report = validate_matrix(matrix)
     if report.ok and not matrix.closed:

@@ -7,6 +7,13 @@ of the matrix into rectangles under the per-request cap; execute_fetch plays
 the plan against a backend, caching every element so interrupted or
 multi-day fetches resume for free.
 
+Elements are held in a dense store keyed by index: per departure epoch, an
+(n, n) int64 value layer and a boolean "known" mask. The cache file keeps its
+JSON-lines format (one {"o", "d", "t", "s"} record per line); it is read in
+one parse into (o, d, t, s) rows and scattered into the store, a request is
+skipped when its tile is all known, and the matrix and the list of holes come
+straight from the arrays. RecordedBackend replays rows the same way.
+
 Quota arithmetic counts full N*N rectangles per layer (the provider bills the
 whole cross product, self-pairs included); the useful element count skips
 self-pairs, whose travel time is zero by definition. Both counts are carried
@@ -15,14 +22,15 @@ on the plan.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass
 from math import ceil, isqrt
 
 import numpy as np
-import requests
 
 from .errors import (
     IncompleteMatrixError,
@@ -33,7 +41,6 @@ from .errors import (
     TransientBackendError,
 )
 from .model import Instance, MultiLayerMatrix
-from .synth import TrafficProfile, generate_synthetic
 
 DEFAULT_ELEMENTS_PER_REQUEST = 100
 FREE_DAILY_QUOTA = 2_500
@@ -159,68 +166,88 @@ def plan_fetch(
     )
 
 
+# --- dense element store -----------------------------------------------------
+
+
+def _dense_layers(rows: np.ndarray, n: int, epochs: np.ndarray):
+    """Scatter (o, d, t, s) rows into (len(epochs), n, n) value/known layers,
+    indexed [layer, origin, destination]; epochs must be sorted.
+
+    Self-pairs are known and 0. Rows with an epoch not in epochs, an index
+    outside 0..n-1 or a self-pair are dropped; of repeated elements the later
+    row wins."""
+    values = np.zeros((len(epochs), n, n), dtype=np.int64)
+    known = np.zeros(values.shape, dtype=bool)
+    known[:, np.arange(n), np.arange(n)] = True
+    if len(rows) and len(epochs):
+        o, d, t, s = rows.T
+        layer = np.minimum(np.searchsorted(epochs, t), len(epochs) - 1)
+        keep = (epochs[layer] == t) & (o >= 0) & (o < n) & (d >= 0) & (d < n) & (o != d)
+        flat = (layer[keep] * n + o[keep]) * n + d[keep]
+        # np.unique keeps the first of equal keys, so feed it the rows last-first
+        flat, first = np.unique(flat[::-1], return_index=True)
+        values.flat[flat] = s[keep][::-1][first]
+        known.flat[flat] = True
+    return values, known
+
+
 # --- backends ----------------------------------------------------------------
 
 
-def _coord_key(lat: float, lon: float) -> tuple[float, float]:
-    return (round(float(lat), 6), round(float(lon), 6))
-
-
 class RecordedBackend:
-    """Replays captured travel times; unknown pairs come back as holes (None)."""
+    """Replays captured travel times; unknown pairs come back as holes (None).
 
-    def __init__(self, instance: Instance, records: dict):
-        # records: {(origin_index, destination_index, departure_epoch): seconds}
-        coords = instance.coordinates()
-        self._values = {}
-        for (o, d, t), seconds in records.items():
-            key = (_coord_key(*coords[o]), _coord_key(*coords[d]), int(t))
-            self._values[key] = int(seconds)
+    rows are (origin_index, destination_index, departure_epoch, seconds), as
+    read_cache_file returns them; indices refer to the instance's nodes. They
+    are held per recorded epoch in dense layers, and a query reads one tile.
+    A query coordinate must be one of the instance's own.
+    """
+
+    def __init__(self, instance: Instance, rows):
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+        epochs = np.unique(rows[:, 2])
+        self._store(instance, epochs, *_dense_layers(rows, instance.n_nodes, epochs))
+
+    def _store(self, instance, epochs, values, known):
+        self._layer_of = {t: k for k, t in enumerate(epochs.tolist())}
+        self._node_of = {coord: i for i, coord in enumerate(instance.coordinates())}
+        self._values = values
+        self._known = known
 
     @classmethod
     def from_matrix(cls, instance: Instance, matrix: MultiLayerMatrix, start_epoch: int):
-        records = {}
-        for s in range(matrix.n_layers):
-            departure = int(start_epoch) + s * matrix.step_seconds
-            for o in range(matrix.n_nodes):
-                for d in range(matrix.n_nodes):
-                    if o != d:
-                        records[(o, d, departure)] = int(matrix.times[s, o, d])
-        return cls(instance, records)
+        n = matrix.n_nodes
+        if instance.n_nodes != n:
+            raise InputError(f"matrix covers {n} nodes but instance has {instance.n_nodes}")
+        values = matrix.times.astype(np.int64)
+        values[:, np.arange(n), np.arange(n)] = 0
+        epochs = int(start_epoch) + matrix.step_seconds * np.arange(matrix.n_layers, dtype=np.int64)
+        backend = cls.__new__(cls)
+        backend._store(instance, epochs, values, np.ones(values.shape, dtype=bool))
+        return backend
 
     @classmethod
     def from_jsonl(cls, instance: Instance, path):
         return cls(instance, read_cache_file(path))
 
     def query(self, origins, destinations, departure_time):
-        t = int(departure_time)
-        grid = []
-        for o in origins:
-            ok = _coord_key(*o)
-            row = []
-            for d in destinations:
-                dk = _coord_key(*d)
-                row.append(0 if ok == dk else self._values.get((ok, dk, t)))
-            grid.append(row)
+        try:
+            rows = [self._node_of[tuple(c)] for c in origins]
+            cols = [self._node_of[tuple(c)] for c in destinations]
+        except KeyError as exc:
+            raise PermanentBackendError(f"coordinate {exc} is not in the recording") from None
+        layer = self._layer_of.get(int(departure_time))
+        if layer is None:
+            return [[0 if o == d else None for d in cols] for o in rows]
+        tile = np.array(rows)[:, None], np.array(cols)
+        grid = self._values[layer][tile].tolist()
+        known = self._known[layer][tile]
+        if not known.all():
+            for row, mask in zip(grid, known.tolist()):
+                for j, ok in enumerate(mask):
+                    if not ok:
+                        row[j] = None
         return grid
-
-
-class SyntheticBackend:
-    """Serves elements of a generated traffic matrix as if it were remote."""
-
-    def __init__(
-        self,
-        instance: Instance,
-        n_layers: int,
-        step_seconds: int,
-        profile: TrafficProfile,
-        start_epoch: int,
-    ):
-        self.matrix = generate_synthetic(instance, n_layers, step_seconds, profile)
-        self._replay = RecordedBackend.from_matrix(instance, self.matrix, start_epoch)
-
-    def query(self, origins, destinations, departure_time):
-        return self._replay.query(origins, destinations, departure_time)
 
 
 class LiveBackend:
@@ -239,7 +266,11 @@ class LiveBackend:
             raise InputError(
                 f"no API key: set {API_KEY_ENV_VAR} or pass api_key explicitly"
             )
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # imported here: it is slow to load and only this backend uses it
+
+            session = requests.Session()
+        self._session = session
         self._timeout = timeout
 
     def query(self, origins, destinations, departure_time):
@@ -251,6 +282,8 @@ class LiveBackend:
             "traffic_model": "best_guess",
             "key": self._key,
         }
+        import requests
+
         try:
             resp = self._session.get(self.URL, params=params, timeout=self._timeout)
         except requests.RequestException as exc:
@@ -285,24 +318,57 @@ class LiveBackend:
 # Every record ends with a newline, so an unterminated last line is a write
 # cut short by a crash: readers skip it and the next fetch cuts it off.
 
+_RECORD_FIELDS = operator.itemgetter("o", "d", "t", "s")
+_INT64 = np.iinfo(np.int64)
 
-def read_cache_file(path) -> dict:
-    records = {}
+
+def _not_an_int(token):
+    raise ValueError(f"{token} is not an integer")
+
+
+def read_cache_file(path) -> np.ndarray:
+    """Cache records as an (m, 4) int64 array of (o, d, t, s) rows, in file order.
+
+    All whole lines are parsed by one json.loads of the joined lines. A file
+    that parse does not take as one record of four integers per line is read
+    again line by line, which names the first bad line.
+    """
     if path is None or not os.path.exists(path):
-        return records
+        return np.empty((0, 4), dtype=np.int64)
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.endswith("\n"):
-                break  # torn last record
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                records[(int(rec["o"]), int(rec["d"]), int(rec["t"]))] = int(rec["s"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
-    return records
+        lines = fh.read().split("\n")[:-1]  # the last piece is "" or a torn record
+    try:
+        return _parse_lines(lines)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return _parse_each_line(lines, path)
+
+
+def _parse_lines(lines) -> np.ndarray:
+    whole = list(filter(None, lines))
+    records = json.loads(
+        "[" + ",".join(whole) + "]", parse_float=_not_an_int, parse_constant=_not_an_int
+    )
+    if len(records) != len(whole):
+        raise ValueError("a line holds other than one record")
+    flat = itertools.chain.from_iterable(map(_RECORD_FIELDS, records))
+    return np.fromiter(flat, dtype=np.int64, count=4 * len(records)).reshape(-1, 4)
+
+
+def _parse_each_line(lines, path) -> np.ndarray:
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            row = (int(rec["o"]), int(rec["d"]), int(rec["t"]), int(rec["s"]))
+            if not all(_INT64.min <= v <= _INT64.max for v in row):
+                raise ValueError("value outside the 64-bit integer range")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 def _cut_torn_record(path) -> None:
@@ -316,11 +382,6 @@ def _cut_torn_record(path) -> None:
             return
         fh.seek(0)
         fh.truncate(fh.read().rfind(b"\n") + 1)
-
-
-def _append_cache(fh, o: int, d: int, t: int, s: int) -> None:
-    fh.write(json.dumps({"o": o, "d": d, "t": t, "s": s}))
-    fh.write("\n")
 
 
 # --- execution ---------------------------------------------------------------
@@ -344,25 +405,24 @@ def execute_fetch(
     retried with exponential backoff (at most max_attempts tries); a quota
     signal suspends the plan with progress preserved in the cache. Fetched
     values are stored as-is: real data is validated downstream, never fixed.
+    Each request's departure_time is its layer's epoch, as plan_fetch makes it.
     """
     n = plan.n_nodes
     if instance.n_nodes != n:
         raise InputError(f"plan covers {n} nodes but instance has {instance.n_nodes}")
     coords = instance.coordinates()
-    cache = read_cache_file(cache_path)
+    epochs = plan.start_epoch + plan.step_seconds * np.arange(plan.n_layers, dtype=np.int64)
+    values, known = _dense_layers(read_cache_file(cache_path), n, epochs)
     if cache_path is not None and os.path.exists(cache_path):
         _cut_torn_record(cache_path)
     cache_fh = open(cache_path, "a", encoding="utf-8") if cache_path else None
     completed = 0
     try:
         for req in plan.requests:
-            missing = [
-                (o, d)
-                for o in req.origin_indices
-                for d in req.destination_indices
-                if o != d and (o, d, req.departure_time) not in cache
-            ]
-            if not missing:
+            rows = np.array(req.origin_indices)[:, None]
+            cols = np.array(req.destination_indices)
+            tile = rows, cols
+            if known[req.layer][tile].all():
                 completed += 1
                 continue
             if budget is not None:
@@ -373,39 +433,37 @@ def execute_fetch(
             grid = _query_with_retry(
                 client, req, coords, max_attempts, retry_base_delay, sleep, cache_path, completed, plan
             )
-            for a, o in enumerate(req.origin_indices):
-                for b, d in enumerate(req.destination_indices):
-                    if o == d:
-                        continue
-                    value = grid[a][b]
-                    if value is None:
-                        continue  # hole; reported at assembly
-                    cache[(o, d, req.departure_time)] = int(value)
-                    if cache_fh is not None:
-                        _append_cache(cache_fh, o, d, req.departure_time, int(value))
+            got, answered = _answers(grid, rows != cols)  # holes are reported at assembly
+            layer_values = values[req.layer]
+            layer_values[tile] = np.where(answered, got, layer_values[tile])
+            known[req.layer][tile] |= answered
             if cache_fh is not None:
+                a, b = np.nonzero(answered)
+                t = req.departure_time
+                cache_fh.writelines(
+                    f'{{"o": {o}, "d": {d}, "t": {t}, "s": {s}}}\n'
+                    for o, d, s in zip(rows[a, 0].tolist(), cols[b].tolist(), got[a, b].tolist())
+                )
                 cache_fh.flush()
             completed += 1
     finally:
         if cache_fh is not None:
             cache_fh.close()
 
-    times = np.zeros((plan.n_layers, n, n), dtype=np.int64)
-    holes = []
-    for layer in range(plan.n_layers):
-        departure = plan.start_epoch + layer * plan.step_seconds
-        for o in range(n):
-            for d in range(n):
-                if o == d:
-                    continue
-                value = cache.get((o, d, departure))
-                if value is None:
-                    holes.append((layer, o, d))
-                else:
-                    times[layer, o, d] = value
-    if holes:
-        raise IncompleteMatrixError(holes)
-    return MultiLayerMatrix(times=times, step_seconds=plan.step_seconds)
+    if not known.all():
+        raise IncompleteMatrixError(map(tuple, np.argwhere(~known).tolist()))
+    return MultiLayerMatrix(times=values, step_seconds=plan.step_seconds)
+
+
+def _answers(grid, distinct: np.ndarray):
+    """A query grid as (values, answered) arrays. None is a hole, and only
+    the `distinct` (not self-pair) cells can be answers."""
+    try:
+        return np.array(grid, dtype=np.int64), distinct
+    except (TypeError, ValueError, OverflowError):  # holes, or a self-pair odd value
+        cells = np.array(grid, dtype=object)
+        answered = distinct & np.not_equal(cells, None)
+        return np.where(answered, cells, 0).astype(np.int64), answered
 
 
 def _query_with_retry(client, req, coords, max_attempts, base_delay, sleep, cache_path, completed, plan):

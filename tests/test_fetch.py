@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tdvrp
 from tdvrp.errors import (
     IncompleteMatrixError,
     InputError,
@@ -14,14 +19,13 @@ from tdvrp.fetch import (
     LiveBackend,
     QuotaBudget,
     RecordedBackend,
-    SyntheticBackend,
     execute_fetch,
     max_nodes_single_day,
     plan_fetch,
     read_cache_file,
 )
 from tdvrp.model import matrix_to_json
-from tdvrp.synth import TrafficProfile
+from tdvrp.synth import TrafficProfile, generate_synthetic
 
 from conftest import grid_instance, make_matrix, random_layers
 
@@ -185,26 +189,30 @@ def test_resume_over_a_cache_torn_mid_record(tmp_path):
 
 
 def test_cache_reruns_give_byte_identical_files(tmp_path):
+    # the `fetch --backend synthetic` path: a generated matrix replayed
     inst = grid_instance(5)
     profile = TrafficProfile(base_speed_kmh=20.0, jitter_range=(0.9, 1.2), seed=4)
-    backend = SyntheticBackend(inst, 3, 3600, profile, START)
+    source = generate_synthetic(inst, 3, 3600, profile)
+    backend = RecordedBackend.from_matrix(inst, source, START)
     plan = plan_fetch(5, 3, step_seconds=3600, start_epoch=START)
     cache = tmp_path / "cache.jsonl"
     a = execute_fetch(plan, backend, inst, cache_path=cache)
+    first = cache.read_bytes()
     b = execute_fetch(plan, backend, inst, cache_path=cache)
+    assert cache.read_bytes() == first
     assert matrix_to_json(a) == matrix_to_json(b)
-    assert np.array_equal(a.times, backend.matrix.times)
+    assert np.array_equal(a.times, source.times)
 
 
 def test_missing_pair_reports_holes():
     inst = grid_instance(3)
-    records = {}
+    rows = []
     matrix = make_matrix(random_layers(np.random.default_rng(0), 3, 1), 3600)
     for o in range(3):
         for d in range(3):
             if o != d and not (o == 1 and d == 2):
-                records[(o, d, START)] = int(matrix.times[0, o, d])
-    backend = RecordedBackend(inst, records)
+                rows.append((o, d, START, int(matrix.times[0, o, d])))
+    backend = RecordedBackend(inst, rows)
     plan = plan_fetch(3, 1, step_seconds=3600, start_epoch=START)
     with pytest.raises(IncompleteMatrixError) as err:
         execute_fetch(plan, backend, inst)
@@ -334,3 +342,11 @@ def test_live_backend_requires_a_key(monkeypatch):
     monkeypatch.delenv("GOOGLE_MAPS_API_KEY", raising=False)
     with pytest.raises(InputError):
         LiveBackend()
+
+
+def test_importing_the_cli_does_not_load_requests():
+    src = str(Path(tdvrp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, tdvrp.cli; sys.exit(3 if 'requests' in sys.modules else 0)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tdvrp import model
 from tdvrp.errors import InputError, RouteError
 from tdvrp.model import (
     Instance,
@@ -245,6 +246,19 @@ def test_validate_matches_exhaustive_scan(rng):
             count, worst = triangle_violations_scan(layers[s].tolist())
             assert report.layers[s].triangle_violations == count
             assert report.layers[s].worst_violation == worst
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 5])
+def test_validate_in_row_blocks_matches_exhaustive_scan(rng, monkeypatch, block_rows):
+    for _ in range(5):
+        n = int(rng.integers(3, 9))
+        monkeypatch.setattr(model, "_VALIDATE_BLOCK", block_rows * n * n)
+        layers = rng.integers(-5, 50, size=(2, n, n))  # diagonals left nonzero
+        for arr in (layers, layers + 0.5):
+            report = validate_matrix(MultiLayerMatrix(times=arr, step_seconds=3600))
+            for s, layer in enumerate(report.layers):
+                got = (layer.triangle_violations, layer.worst_violation)
+                assert got == triangle_violations_scan(arr[s].tolist())
 
 
 def test_validate_flags_negative_entry():
