@@ -16,6 +16,15 @@ cached departure of its slot and only re-walks the rest of the tour, and all
 candidates of one move advance together, one array step per arc
 (`model._advance`).
 
+The n_grasp construction trials grow in lockstep: after m insertions every
+trial has m clients placed and the same number left, so one walk prices the
+insertion grids of all trials at once, and `enumerate_insertions` then ranks
+each trial's grid on its own. Step m always offers
+(m + 1) * (clients - m) candidates, whatever was picked before, so every
+pick is drawn up front, one scalar `rng.integers` call per pick in the order
+the trials would draw them one after another; the stream, and the state
+improvement continues from, match a trial-by-trial build.
+
 All randomness comes from one numpy PCG64 stream seeded once per solve, and
 every candidate list is sorted with deterministic tie-breaks, so results are
 reproducible bit-for-bit for a given seed. With k_grasp=k_del=k_ins=1 the
@@ -38,6 +47,7 @@ from .model import (
     Schedule,
     SolverParams,
     _advance,
+    _arrivals,
     _order_schedule,
 )
 
@@ -65,26 +75,32 @@ def _result(order, trace, matrix: MultiLayerMatrix, params: SolverParams) -> Sol
     )
 
 
-def _insertion_deltas(order, nodes, matrix: MultiLayerMatrix) -> np.ndarray:
-    """Cost change of inserting each of `nodes` at each slot of `order`, as
-    a (slots x nodes) grid.
+def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix) -> np.ndarray:
+    """Cost change of inserting each trial's `nodes` at each slot of its
+    tour, as a (slots x trials x nodes) grid.
 
-    Lane (p, node) leaves the node before slot p at the tour's p-th
-    departure, drives to `node` and then walks order[p:] back to the depot.
+    Row t of `paths` is tour t closed at both ends, (0, *order, 0); row t of
+    `clock` holds its departures followed by its cost, and row t of `nodes`
+    the clients it may take. Every tour has the same length. Lane (p, t, j)
+    leaves paths[t, p] at clock[t, p], drives to nodes[t, j] and then walks
+    paths[t, p + 1:] back to the depot.
     """
-    sched = _order_schedule(order, matrix)
-    nodes = np.asarray(nodes, dtype=np.intp)
-    tail = np.array([*order, 0], dtype=np.intp)
-    prev = np.array([0, *order], dtype=np.intp)
-    slots = len(tail)
-    k = np.repeat(
-        np.array(sched.departures, dtype=matrix.times.dtype)[:, None], len(nodes), axis=1
-    )
+    slots = paths.shape[1] - 1
+    k = np.repeat(clock[:, :-1].T[:, :, None], nodes.shape[1], axis=2)
+    tail = paths[:, 1:].T[:, :, None]
     steps = chain(
-        [np.broadcast_to(nodes, (slots, len(nodes)))],
-        (tail[j:, None] for j in range(slots)),
+        [np.broadcast_to(nodes, (slots, *nodes.shape))],
+        (tail[j:] for j in range(slots)),
     )
-    return _advance(k, prev[:, None], steps, matrix) - sched.total_cost
+    return _advance(k, paths[:, :-1].T[:, :, None], steps, matrix) - clock[:, -1, None]
+
+
+def _tour_deltas(order, nodes, matrix: MultiLayerMatrix) -> np.ndarray:
+    """`_insertion_deltas` of a single tour, as a (slots x nodes) grid."""
+    sched = _order_schedule(order, matrix)
+    paths = np.array([[0, *order, 0]], dtype=np.intp)
+    clock = np.array([[*sched.departures, sched.total_cost]], dtype=matrix.times.dtype)
+    return _insertion_deltas(paths, clock, np.array([nodes], dtype=np.intp), matrix)[:, 0]
 
 
 def _deletion_savings(order, matrix: MultiLayerMatrix) -> np.ndarray:
@@ -104,20 +120,25 @@ def _deletion_savings(order, matrix: MultiLayerMatrix) -> np.ndarray:
     return sched.total_cost - _advance(k, cur, steps, matrix)
 
 
-def enumerate_insertions(partial, remaining, matrix: MultiLayerMatrix) -> np.recarray:
+def enumerate_insertions(partial, remaining, matrix: MultiLayerMatrix, deltas=None) -> np.recarray:
     """All (node, slot) insertions of `remaining` into the partial tour,
     sorted by cost delta, ties broken by (node, position).
 
     One record per candidate, with fields `node`, `position` and
-    `delta_cost`.
+    `delta_cost`. `deltas`, when given, is the (slots x nodes) grid of these
+    insertions already priced by `_insertion_deltas`, nodes in sorted order,
+    and is only ranked: construction prices all its trials in one walk and
+    ranks each trial's grid here.
     """
     order = tuple(partial.order if isinstance(partial, Route) else partial)
     nodes = sorted(remaining)
     if set(nodes) & set(order):
         raise InputError("remaining nodes overlap the partial route")
     slots = len(order) + 1
+    if deltas is None:
+        deltas = _tour_deltas(order, nodes, matrix)
     # node-major, so a stable sort breaks delta ties by (node, position)
-    deltas = _insertion_deltas(order, nodes, matrix).T.ravel()
+    deltas = deltas.T.ravel()
     ranked = np.argsort(deltas, kind="stable")
     candidates = np.empty(
         len(ranked),
@@ -129,20 +150,50 @@ def enumerate_insertions(partial, remaining, matrix: MultiLayerMatrix) -> np.rec
     return candidates.view(np.recarray)
 
 
-def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng) -> Route:
+def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials=None):
     """Grow one tour from empty, drawing each insertion uniformly from the
-    k_grasp cheapest candidates."""
+    k_grasp cheapest candidates.
+
+    Given `trials`, grow that many tours in lockstep (see the module
+    docstring) and return the list of them, in trial order.
+    """
     if k_grasp < 1:
         raise InputError(f"k_grasp must be >= 1, got {k_grasp}")
-    order: tuple[int, ...] = ()
-    remaining = set(range(1, matrix.n_nodes))
-    while remaining:
-        candidates = enumerate_insertions(order, remaining, matrix)
-        pick = candidates[int(rng.integers(0, min(k_grasp, len(candidates))))]
-        node, position = int(pick.node), int(pick.position)
-        order = order[:position] + (node,) + order[position:]
-        remaining.discard(node)
-    return Route(order)
+    width = 1 if trials is None else trials
+    clients = matrix.n_nodes - 1
+    # see the module docstring: scalar draws, in trial-by-trial order
+    picks = [
+        [int(rng.integers(0, min(k_grasp, (m + 1) * (clients - m)))) for m in range(clients)]
+        for _ in range(width)
+    ]
+    # row t of `paths` is tour t closed at both ends, the first m + 2 columns
+    # of row t of `clock` its departures followed by its cost, row t of
+    # `remaining` its free clients
+    paths = np.zeros((width, 2), dtype=np.intp)
+    clock = np.zeros((width, clients + 2), dtype=matrix.times.dtype)
+    remaining = np.tile(np.arange(1, clients + 1, dtype=np.intp), (width, 1))
+    for m in range(clients):
+        deltas = _insertion_deltas(paths, clock[:, : m + 2], remaining, matrix)
+        # each trial's (node, position, delta) record at its drawn rank
+        picked = [
+            enumerate_insertions(path[1:-1], free, matrix, deltas[:, t]).item(pick[m])
+            for t, (path, free, pick) in enumerate(zip(paths.tolist(), remaining.tolist(), picks))
+        ]
+        node, pos = np.array([c[:2] for c in picked], dtype=np.intp).T
+        remaining = remaining[remaining != node[:, None]].reshape(width, -1)
+        # the picked node lands in column pos + 1 of each path; the old
+        # entries fill the other columns in order
+        keep = np.arange(m + 3) != pos[:, None] + 1
+        grown = np.empty((width, m + 3), dtype=np.intp)
+        grown[keep] = paths.ravel()
+        grown[~keep] = node
+        paths = grown
+        # departures up to each tour's insertion slot are unchanged, so each
+        # tour is re-walked from its own slot
+        for row, path, p in zip(clock, paths.tolist(), pos.tolist()):
+            row[p + 1 : m + 3] = _arrivals(row.item(p), path[p], path[p + 1 :], matrix)
+    routes = [Route(path[1:-1]) for path in paths.tolist()]
+    return routes[0] if trials is None else routes
 
 
 def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
@@ -150,16 +201,11 @@ def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResul
 
     The cost trace lists every trial's cost in trial order.
     """
-    trace = []
-    best_order = None
-    best_cost = None
-    for _ in range(params.n_grasp):
-        order = construct_route(matrix, params.k_grasp, rng).order
-        cost = _order_schedule(order, matrix).total_cost
-        trace.append(cost)
-        if best_cost is None or cost < best_cost:
-            best_order, best_cost = order, cost
-    return _result(best_order, trace, matrix, params)
+    routes = construct_route(matrix, params.k_grasp, rng, trials=params.n_grasp)
+    trace = [_order_schedule(route.order, matrix).total_cost for route in routes]
+    # the first of the cheapest tours
+    best = min(range(len(trace)), key=trace.__getitem__)
+    return _result(routes[best].order, trace, matrix, params)
 
 
 def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
@@ -185,7 +231,7 @@ def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> Solve
             pool = np.lexsort((current, -savings))[: params.k_del]
             deleted.append(current.pop(int(pool[int(rng.integers(0, len(pool)))])))
         for node in deleted:
-            deltas = _insertion_deltas(current, [node], matrix)[:, 0]
+            deltas = _tour_deltas(current, [node], matrix)[:, 0]
             pool = np.argsort(deltas, kind="stable")[: params.k_ins]
             current.insert(int(pool[int(rng.integers(0, len(pool)))]), node)
         cost = _order_schedule(current, matrix).total_cost
@@ -199,12 +245,14 @@ def solve(instance: Instance, matrix: MultiLayerMatrix, params: SolverParams) ->
     """Full pipeline: seed one RNG stream, construct, then improve.
 
     A fixed (instance, matrix, params) triple reproduces the exact same
-    result; only changing the seed can change it.
+    result; only changing the seed can change it. l_delete is clamped to the
+    client count, and the result's params record the value used.
     """
     if matrix.n_nodes != instance.n_nodes:
         raise InputError(
             f"matrix covers {matrix.n_nodes} nodes but instance has {instance.n_nodes}"
         )
+    params = replace(params, l_delete=min(params.l_delete, matrix.n_nodes - 1))
     rng = np.random.default_rng(params.seed)
     constructed = run_grasp(matrix, params, rng)
     improved = improve(constructed.best_route, matrix, params, rng)

@@ -206,25 +206,27 @@ def travel_time(i: int, j: int, k, matrix: MultiLayerMatrix):
 
 def _order_schedule(order, matrix: MultiLayerMatrix) -> Schedule:
     """Fast-path evaluation of a raw visit order (no validation)."""
+    if not order:
+        return Schedule((0,), 0)
+    arrivals = _arrivals(0, 0, [*order, 0], matrix)
+    return Schedule((0, *arrivals[:-1]), arrivals[-1])
+
+
+def _arrivals(k, prev, nodes, matrix: MultiLayerMatrix) -> list:
+    """Scalar walk: leave `prev` at time k, visit `nodes` in order and return
+    the arrival time at each; every arc is priced at its departure's layer."""
     step = matrix.step_seconds
     last = matrix.n_layers - 1
     times = matrix.times
-    k = 0
-    departures = [0]
-    prev = 0
-    for node in order:
+    arrivals = []
+    for node in nodes:
         s = int(k // step)
         if s > last:
             s = last
         k = k + times.item(s, prev, node)
-        departures.append(k)
+        arrivals.append(k)
         prev = node
-    if prev != 0:
-        s = int(k // step)
-        if s > last:
-            s = last
-        k = k + times.item(s, prev, 0)
-    return Schedule(tuple(departures), k)
+    return arrivals
 
 
 def _advance(k, cur, steps, matrix: MultiLayerMatrix) -> np.ndarray:
@@ -385,7 +387,7 @@ def matrix_from_json(text: str) -> MultiLayerMatrix:
     doc = _parse_json(text, "matrix")
     _require_version(doc, "matrix")
     try:
-        times = np.asarray(doc["times"], dtype=np.int64)
+        times = _times_from_json(doc["times"])
         step = int(doc["step_seconds"])
         closed = bool(doc.get("closed", False))
         n_nodes = int(doc["n_nodes"])
@@ -399,6 +401,33 @@ def matrix_from_json(text: str) -> MultiLayerMatrix:
             f"array is {matrix.n_layers}x{matrix.n_nodes}x{matrix.n_nodes}"
         )
     return matrix
+
+
+def _times_from_json(raw) -> np.ndarray:
+    """The `times` of a matrix document as int64; every entry must be a JSON
+    integer >= 0 (not a float, a bool or a string, which numpy would coerce).
+    """
+    cells = np.array(raw, dtype=object)
+    if cells.ndim != 3:
+        raise InputError(f"times must have shape (layers, n, n), got {cells.shape}")
+    flat = cells.ravel().tolist()
+
+    def where(at):
+        layer, row, col = np.unravel_index(at, cells.shape)
+        return f"times[{layer}][{row}][{col}] = {json.dumps(flat[at])}"
+
+    if set(map(type, flat)) - {int}:
+        at = next(i for i, v in enumerate(flat) if type(v) is not int)
+        raise InputError(f"matrix entry {where(at)} is not a JSON integer")
+    try:
+        times = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        at = next(i for i, v in enumerate(flat) if not -(2**63) <= v < 2**63)
+        raise InputError(f"matrix entry {where(at)} does not fit in 64 bits") from None
+    negative = np.flatnonzero(times < 0)
+    if negative.size:
+        raise InputError(f"matrix entry {where(negative[0])} is negative")
+    return times.reshape(cells.shape)
 
 
 def instance_to_json(instance: Instance) -> str:

@@ -71,6 +71,15 @@ def test_solve_writes_result_and_is_reproducible(small_setup, tmp_path, capsys):
     assert "tour: 0 ->" in out and "total driving time:" in out
 
 
+def test_solve_clamps_l_delete_on_a_small_instance(small_setup, tmp_path):
+    # the default l_delete is 6 but the instance has 4 clients
+    _, inst_path, _, matrix_path = small_setup
+    out = tmp_path / "result.json"
+    assert main(["solve", "--instance", str(inst_path), "--matrix", str(matrix_path),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["l_delete"] == 4
+
+
 def test_solve_reports_dimension_mismatch(small_setup, tmp_path, capsys):
     _, inst_path, _, _ = small_setup
     bad_matrix = tmp_path / "bad.json"

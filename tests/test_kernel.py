@@ -2,10 +2,12 @@
 
 `model._advance` prices many tours at once, each lane starting from a cached
 departure part-way along a tour. These properties check it, and the move
-pricing and exhaustive search built on it, against `naive_departures` on
-random tours, start slots and matrices: integer and fractional layers,
-departures far past the horizon, empty and one-client tours, and diagonals
-that are not zero (a walk must never read a self-arc).
+pricing, lockstep construction and exhaustive search built on it, against
+`naive_departures` and plain one-at-a-time loops on random tours, start
+slots and matrices: integer and fractional layers, departures far past the
+horizon, empty and one-client tours, values drawn from a narrow range so that
+many moves tie, and diagonals that are not zero (a walk must never read a
+self-arc).
 """
 
 from itertools import permutations
@@ -13,8 +15,8 @@ from itertools import permutations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tdvrp.grasp import _deletion_savings, _insertion_deltas
-from tdvrp.model import MultiLayerMatrix, _advance, average_matrix
+from tdvrp.grasp import _deletion_savings, _insertion_deltas, enumerate_insertions, run_grasp
+from tdvrp.model import MultiLayerMatrix, SolverParams, _advance, average_matrix
 from tdvrp.oracle import brute_force_optimum
 
 from conftest import constant_matrix, grid_instance, naive_departures
@@ -29,9 +31,10 @@ def matrices(draw, min_nodes=2, max_nodes=8):
     n_layers = draw(st.integers(1, 4))
     step = draw(st.sampled_from([1, 7, 150, 900, 3600]))
     fractional = draw(st.booleans())
+    high = draw(st.sampled_from([4, 2000]))  # 4: ties everywhere
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # the diagonal stays random: no tour walk may ever read it
-    times = rng.integers(0, 2000, size=(n_layers, n, n))
+    times = rng.integers(0, high, size=(n_layers, n, n))
     if fractional:
         times = times / 3.0
     return MultiLayerMatrix(times=times, step_seconds=step)
@@ -80,14 +83,27 @@ def test_lanes_from_any_start_slots_finish_at_the_tour_cost(data):
 @given(data=st.data())
 def test_insertion_deltas_match_full_reevaluation(data):
     matrix = data.draw(matrices())
-    order = data.draw(tours(matrix))
-    nodes = sorted(set(range(1, matrix.n_nodes)) - set(order))
-    base = _naive(order, matrix)[1]
-    deltas = _insertion_deltas(order, nodes, matrix)
-    assert deltas.shape == (len(order) + 1, len(nodes))
+    clients = list(range(1, matrix.n_nodes))
+    size = data.draw(st.integers(0, len(clients)))
+    orders = [
+        tuple(data.draw(st.permutations(clients))[:size])
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    nodes = [sorted(set(clients) - set(order)) for order in orders]
+    walks = [_naive(order, matrix) for order in orders]
+    deltas = _insertion_deltas(
+        np.array([[0, *order, 0] for order in orders], dtype=np.intp),
+        np.array([[*departures, total] for departures, total in walks], dtype=matrix.times.dtype),
+        np.array(nodes, dtype=np.intp),
+        matrix,
+    )
+    assert deltas.shape == (size + 1, len(orders), len(clients) - size)
     expected = [
-        [_naive(order[:p] + (node,) + order[p:], matrix)[1] - base for node in nodes]
-        for p in range(len(order) + 1)
+        [
+            [_naive(order[:p] + (node,) + order[p:], matrix)[1] - total for node in free]
+            for order, free, (_, total) in zip(orders, nodes, walks)
+        ]
+        for p in range(size + 1)
     ]
     assert _exact(deltas) == _exact(expected)
 
@@ -107,6 +123,49 @@ def test_deleting_the_only_client_leaves_a_free_empty_tour():
     matrix = MultiLayerMatrix(times=times, step_seconds=600)
     assert _deletion_savings([2], matrix).tolist() == [1000]
     assert _deletion_savings([2], average_matrix(matrix)).tolist() == [1000.0]
+
+
+# --- lockstep construction ---------------------------------------------------
+
+
+def _trial_by_trial(matrix, params, rng):
+    """run_grasp rebuilt one trial after another from enumerate_insertions,
+    each pick drawn just before it is made from a plain sort of the
+    candidates by (delta, node, position)."""
+    trace, best = [], None
+    for _ in range(params.n_grasp):
+        order, remaining = (), set(range(1, matrix.n_nodes))
+        while remaining:
+            candidates = sorted(
+                enumerate_insertions(order, remaining, matrix).tolist(),
+                key=lambda c: (c[2], c[0], c[1]),
+            )
+            pick = int(rng.integers(0, min(params.k_grasp, len(candidates))))
+            node, position, _ = candidates[pick]
+            order = order[:position] + (node,) + order[position:]
+            remaining.discard(node)
+        cost = _naive(order, matrix)[1]
+        trace.append(cost)
+        if best is None or cost < best[1]:
+            best = (order, cost)
+    return best[0], trace
+
+
+@SETTINGS
+@given(
+    matrix=matrices(max_nodes=13),
+    k_grasp=st.integers(1, 5),
+    n_grasp=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_lockstep_construction_matches_trial_by_trial(matrix, k_grasp, n_grasp, seed):
+    params = SolverParams(n_grasp=n_grasp, k_grasp=k_grasp, seed=seed)
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    result = run_grasp(matrix, params, rng)
+    order, trace = _trial_by_trial(matrix, params, reference)
+    assert result.best_route.order == order
+    assert _exact(result.cost_trace) == _exact(trace)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # --- batched exhaustive search ------------------------------------------------

@@ -338,3 +338,40 @@ def test_matrix_json_rejects_bad_documents():
     }
     with pytest.raises(InputError):
         matrix_from_json(json.dumps(doc))
+
+
+def _matrix_document(times, closed=False):
+    return json.dumps({
+        "version": 1,
+        "n_nodes": len(times[0]),
+        "n_layers": len(times),
+        "step_seconds": 60,
+        "closed": closed,
+        "times": times,
+    })
+
+
+def test_matrix_json_rejects_float_entries():
+    # json.loads reads 7.9 as a float, which an int64 conversion truncates to 7
+    times = [[[0, 5], [5, 0]], [[0, 7.9], [2.5, 0]]]
+    with pytest.raises(InputError, match=r"times\[1\]\[0\]\[1\] = 7\.9 is not a JSON integer"):
+        matrix_from_json(_matrix_document(times))
+
+
+def test_matrix_json_rejects_bool_entries():
+    # json.loads reads true as a bool, which an int64 conversion turns into 1
+    times = [[[0, 5], [True, 0]]]
+    with pytest.raises(InputError, match=r"times\[0\]\[1\]\[0\] = true is not a JSON integer"):
+        matrix_from_json(_matrix_document(times))
+
+
+def test_matrix_json_rejects_negative_entries_even_when_marked_closed():
+    times = [[[0, 5], [5, 0]], [[0, 4], [-3, 0]]]
+    with pytest.raises(InputError, match=r"times\[1\]\[1\]\[0\] = -3 is negative"):
+        matrix_from_json(_matrix_document(times, closed=True))
+
+
+def test_matrix_json_rejects_entries_beyond_64_bits():
+    times = [[[0, 5], [2**63, 0]]]
+    with pytest.raises(InputError, match=r"times\[0\]\[1\]\[0\] = 9223372036854775808 does not fit"):
+        matrix_from_json(_matrix_document(times))
