@@ -34,26 +34,27 @@ EXIT_BACKEND = 3
 EXIT_INVARIANT = 4
 
 
+# the SolverParams fields that solve and compare take as flags, with their help
+_PARAM_HELP = {
+    "seed": "RNG seed",
+    "n_grasp": "construction trials",
+    "k_grasp": "insertion candidate pool",
+    "n_improve": "improvement rounds",
+    "l_delete": "nodes deleted per round",
+    "k_del": "deletion candidate pool",
+    "k_ins": "reinsertion candidate pool",
+}
+
+
 def _add_params_flags(parser):
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--n-grasp", type=int, default=30, help="construction trials")
-    parser.add_argument("--k-grasp", type=int, default=3, help="insertion candidate pool")
-    parser.add_argument("--n-improve", type=int, default=20, help="improvement rounds")
-    parser.add_argument("--l-delete", type=int, default=6, help="nodes deleted per round")
-    parser.add_argument("--k-del", type=int, default=3, help="deletion candidate pool")
-    parser.add_argument("--k-ins", type=int, default=1, help="reinsertion candidate pool")
+    defaults = SolverParams()
+    for name, help_text in _PARAM_HELP.items():
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, type=int, default=getattr(defaults, name), help=help_text)
 
 
 def _params_from(args) -> SolverParams:
-    return SolverParams(
-        n_grasp=args.n_grasp,
-        k_grasp=args.k_grasp,
-        n_improve=args.n_improve,
-        l_delete=args.l_delete,
-        k_del=args.k_del,
-        k_ins=args.k_ins,
-        seed=args.seed,
-    )
+    return SolverParams(**{name: getattr(args, name) for name in _PARAM_HELP})
 
 
 def _profile_from(args) -> TrafficProfile:

@@ -68,7 +68,7 @@ class FetchPlan:
     step_seconds: int
     start_epoch: int
     requests: tuple[FetchRequest, ...]
-    total_elements: int  # useful elements (self-pairs skipped by default)
+    total_elements: int  # useful elements (self-pairs skipped)
     quota_elements: int  # billed elements, layers * n_nodes**2
     elements_per_request_limit: int
     daily_quota: int
@@ -112,7 +112,6 @@ def plan_fetch(
     start_epoch: int | None = None,
     elements_per_request_limit: int = DEFAULT_ELEMENTS_PER_REQUEST,
     daily_quota: int = PAID_DAILY_QUOTA,
-    include_self_pairs: bool = False,
 ) -> FetchPlan:
     """Tile every layer into rectangular requests under the element cap.
 
@@ -150,7 +149,6 @@ def plan_fetch(
                     dests = all_nodes[c0 : c0 + limit]
                     reqs.append(FetchRequest(layer, (origin,), dests, departure))
 
-    useful_per_layer = n_nodes * n_nodes if include_self_pairs else n_nodes * (n_nodes - 1)
     quota_elements = n_layers * n_nodes * n_nodes
     return FetchPlan(
         n_nodes=n_nodes,
@@ -158,7 +156,7 @@ def plan_fetch(
         step_seconds=step_seconds,
         start_epoch=int(start_epoch),
         requests=tuple(reqs),
-        total_elements=n_layers * useful_per_layer,
+        total_elements=n_layers * n_nodes * (n_nodes - 1),
         quota_elements=quota_elements,
         elements_per_request_limit=elements_per_request_limit,
         daily_quota=daily_quota,

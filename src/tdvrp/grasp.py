@@ -8,13 +8,18 @@ cost savings, savings recomputed after every deletion), reinsert them
 first-deleted-first-reinserted at one of their k_ins cheapest slots, and keep
 the round's result only if it beats the best tour so far.
 
+Both phases keep a tour as one state: the closed path [0, *order, 0] and its
+clock, a list in which clock[j] is the time at path[j] and clock[-1] the
+tour's cost. Two edits change it, `_insert` and `_delete`; a move at slot p
+leaves the clock up to p unchanged, so each edit re-times the tour only from
+the edited slot on, with the scalar walk `model._arrivals`.
+
 Every candidate is priced on the whole tour it would make: in a
 time-dependent matrix an insertion or deletion shifts all downstream
-departure times, so local two-arc arithmetic would be wrong. A move at slot p
-leaves departures 0..p unchanged, though, so each candidate starts from the
-cached departure of its slot and only re-walks the rest of the tour, and all
-candidates of one move advance together, one array step per arc
-(`model._advance`).
+departure times, so local two-arc arithmetic would be wrong. Each candidate
+starts from the kept clock at its slot and only re-walks the rest of the
+tour, and all candidates of one move advance together, one array step per
+arc (`model._advance`).
 
 The n_grasp construction trials grow in lockstep: after m insertions every
 trial has m clients placed and the same number left, so one walk prices the
@@ -64,27 +69,43 @@ class SolveResult:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def _result(order, trace, matrix: MultiLayerMatrix, params: SolverParams) -> SolveResult:
-    route = Route(order)
+def _result(order, schedule: Schedule, trace, params: SolverParams) -> SolveResult:
     return SolveResult(
-        best_route=route,
-        best_schedule=_order_schedule(route.order, matrix),
+        best_route=Route(order),
+        best_schedule=schedule,
         cost_trace=tuple(trace),
         params=params,
         seed=params.seed,
     )
 
 
+def _insert(path, clock, p, node, matrix: MultiLayerMatrix) -> None:
+    """Put `node` into slot p of the tour, between path[p] and path[p + 1],
+    and re-time the tour from that slot on."""
+    path.insert(p + 1, node)
+    clock[p + 1 :] = _arrivals(clock[p], path[p], path[p + 1 :], matrix)
+
+
+def _delete(path, clock, i, matrix: MultiLayerMatrix) -> None:
+    """Take the client path[i] out of the tour and re-time the tour from the
+    slot it leaves."""
+    del path[i]
+    # the empty tour [0, 0] has no arc to walk and costs 0
+    clock[i:] = _arrivals(clock[i - 1], path[i - 1], path[i:], matrix) if len(path) > 2 else [0]
+
+
 def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix) -> np.ndarray:
     """Cost change of inserting each trial's `nodes` at each slot of its
     tour, as a (slots x trials x nodes) grid.
 
-    Row t of `paths` is tour t closed at both ends, (0, *order, 0); row t of
-    `clock` holds its departures followed by its cost, and row t of `nodes`
-    the clients it may take. Every tour has the same length. Lane (p, t, j)
-    leaves paths[t, p] at clock[t, p], drives to nodes[t, j] and then walks
-    paths[t, p + 1:] back to the depot.
+    Row t of `paths` and `clock` is the tour state of trial t, and row t of
+    `nodes` the clients it may take. Every tour has the same length. Lane
+    (p, t, j) leaves paths[t][p] at clock[t][p], drives to nodes[t][j] and
+    then walks paths[t][p + 1:] back to the depot.
     """
+    paths = np.asarray(paths, dtype=np.intp)
+    clock = np.asarray(clock, dtype=matrix.times.dtype)
+    nodes = np.asarray(nodes, dtype=np.intp)
     slots = paths.shape[1] - 1
     k = np.repeat(clock[:, :-1].T[:, :, None], nodes.shape[1], axis=2)
     tail = paths[:, 1:].T[:, :, None]
@@ -95,48 +116,35 @@ def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix) -> np.ndarr
     return _advance(k, paths[:, :-1].T[:, :, None], steps, matrix) - clock[:, -1, None]
 
 
-def _tour_deltas(order, nodes, matrix: MultiLayerMatrix) -> np.ndarray:
-    """`_insertion_deltas` of a single tour, as a (slots x nodes) grid."""
-    sched = _order_schedule(order, matrix)
-    paths = np.array([[0, *order, 0]], dtype=np.intp)
-    clock = np.array([[*sched.departures, sched.total_cost]], dtype=matrix.times.dtype)
-    return _insertion_deltas(paths, clock, np.array([nodes], dtype=np.intp), matrix)[:, 0]
+def _deletion_savings(path, clock, matrix: MultiLayerMatrix) -> np.ndarray:
+    """Cost saved by deleting each client path[1:-1] of the tour.
 
-
-def _deletion_savings(order, matrix: MultiLayerMatrix) -> np.ndarray:
-    """Cost saved by deleting each client of `order`.
-
-    Lane idx leaves the node before order[idx] at the tour's idx-th
-    departure and walks order[idx + 1:] back to the depot.
+    Lane idx leaves path[idx] at clock[idx] and walks path[idx + 2:] back to
+    the depot.
     """
-    sched = _order_schedule(order, matrix)
-    if len(order) == 1:
+    if len(path) == 3:
         # the tour left is empty and costs 0; there is no arc to walk
-        return np.array([sched.total_cost])
-    k = np.array(sched.departures[:-1], dtype=matrix.times.dtype)
-    cur = np.array([0, *order[:-1]], dtype=np.intp)
-    tail = np.array([*order[1:], 0], dtype=np.intp)
+        return np.array([clock[-1]])
+    k = np.array(clock[:-2], dtype=matrix.times.dtype)
+    cur = np.array(path[:-2], dtype=np.intp)
+    tail = np.array(path[2:], dtype=np.intp)
     steps = (tail[j:] for j in range(len(tail)))
-    return sched.total_cost - _advance(k, cur, steps, matrix)
+    return clock[-1] - _advance(k, cur, steps, matrix)
 
 
-def enumerate_insertions(partial, remaining, matrix: MultiLayerMatrix, deltas=None) -> np.recarray:
+def enumerate_insertions(partial, remaining, deltas) -> np.recarray:
     """All (node, slot) insertions of `remaining` into the partial tour,
     sorted by cost delta, ties broken by (node, position).
 
-    One record per candidate, with fields `node`, `position` and
-    `delta_cost`. `deltas`, when given, is the (slots x nodes) grid of these
-    insertions already priced by `_insertion_deltas`, nodes in sorted order,
-    and is only ranked: construction prices all its trials in one walk and
-    ranks each trial's grid here.
+    `deltas` is the (slots x nodes) grid of these insertions priced by
+    `_insertion_deltas`, nodes in sorted order. One record per candidate,
+    with fields `node`, `position` and `delta_cost`.
     """
     order = tuple(partial.order if isinstance(partial, Route) else partial)
     nodes = sorted(remaining)
     if set(nodes) & set(order):
         raise InputError("remaining nodes overlap the partial route")
     slots = len(order) + 1
-    if deltas is None:
-        deltas = _tour_deltas(order, nodes, matrix)
     # node-major, so a stable sort breaks delta ties by (node, position)
     deltas = deltas.T.ravel()
     ranked = np.argsort(deltas, kind="stable")
@@ -150,50 +158,30 @@ def enumerate_insertions(partial, remaining, matrix: MultiLayerMatrix, deltas=No
     return candidates.view(np.recarray)
 
 
-def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials=None):
-    """Grow one tour from empty, drawing each insertion uniformly from the
-    k_grasp cheapest candidates.
-
-    Given `trials`, grow that many tours in lockstep (see the module
-    docstring) and return the list of them, in trial order.
+def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int) -> list:
+    """Grow `trials` tours from empty in lockstep (see the module docstring),
+    drawing each insertion uniformly from the k_grasp cheapest candidates;
+    return them in trial order.
     """
     if k_grasp < 1:
         raise InputError(f"k_grasp must be >= 1, got {k_grasp}")
-    width = 1 if trials is None else trials
     clients = matrix.n_nodes - 1
     # see the module docstring: scalar draws, in trial-by-trial order
     picks = [
         [int(rng.integers(0, min(k_grasp, (m + 1) * (clients - m)))) for m in range(clients)]
-        for _ in range(width)
+        for _ in range(trials)
     ]
-    # row t of `paths` is tour t closed at both ends, the first m + 2 columns
-    # of row t of `clock` its departures followed by its cost, row t of
-    # `remaining` its free clients
-    paths = np.zeros((width, 2), dtype=np.intp)
-    clock = np.zeros((width, clients + 2), dtype=matrix.times.dtype)
-    remaining = np.tile(np.arange(1, clients + 1, dtype=np.intp), (width, 1))
+    paths = [[0, 0] for _ in range(trials)]
+    clocks = [[0, 0] for _ in range(trials)]
+    remaining = [list(range(1, clients + 1)) for _ in range(trials)]
     for m in range(clients):
-        deltas = _insertion_deltas(paths, clock[:, : m + 2], remaining, matrix)
-        # each trial's (node, position, delta) record at its drawn rank
-        picked = [
-            enumerate_insertions(path[1:-1], free, matrix, deltas[:, t]).item(pick[m])
-            for t, (path, free, pick) in enumerate(zip(paths.tolist(), remaining.tolist(), picks))
-        ]
-        node, pos = np.array([c[:2] for c in picked], dtype=np.intp).T
-        remaining = remaining[remaining != node[:, None]].reshape(width, -1)
-        # the picked node lands in column pos + 1 of each path; the old
-        # entries fill the other columns in order
-        keep = np.arange(m + 3) != pos[:, None] + 1
-        grown = np.empty((width, m + 3), dtype=np.intp)
-        grown[keep] = paths.ravel()
-        grown[~keep] = node
-        paths = grown
-        # departures up to each tour's insertion slot are unchanged, so each
-        # tour is re-walked from its own slot
-        for row, path, p in zip(clock, paths.tolist(), pos.tolist()):
-            row[p + 1 : m + 3] = _arrivals(row.item(p), path[p], path[p + 1 :], matrix)
-    routes = [Route(path[1:-1]) for path in paths.tolist()]
-    return routes[0] if trials is None else routes
+        deltas = _insertion_deltas(paths, clocks, remaining, matrix)
+        for t, (path, clock, free, pick) in enumerate(zip(paths, clocks, remaining, picks)):
+            # the (node, position, delta) record at the trial's drawn rank
+            node, pos, _ = enumerate_insertions(path[1:-1], free, deltas[:, t]).item(pick[m])
+            free.remove(node)
+            _insert(path, clock, pos, node, matrix)
+    return [Route(path[1:-1]) for path in paths]
 
 
 def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
@@ -201,11 +189,12 @@ def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResul
 
     The cost trace lists every trial's cost in trial order.
     """
-    routes = construct_route(matrix, params.k_grasp, rng, trials=params.n_grasp)
-    trace = [_order_schedule(route.order, matrix).total_cost for route in routes]
+    routes = construct_route(matrix, params.k_grasp, rng, params.n_grasp)
+    schedules = [_order_schedule(route.order, matrix) for route in routes]
+    trace = [schedule.total_cost for schedule in schedules]
     # the first of the cheapest tours
     best = min(range(len(trace)), key=trace.__getitem__)
-    return _result(routes[best].order, trace, matrix, params)
+    return _result(routes[best].order, schedules[best], trace, params)
 
 
 def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
@@ -214,31 +203,34 @@ def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> Solve
     A round that does not beat the incumbent is discarded; the trace records
     the best cost after each round, so it is non-increasing.
     """
-    best = tuple(route.order if isinstance(route, Route) else route)
-    if set(best) != set(range(1, matrix.n_nodes)):
+    order = tuple(route.order if isinstance(route, Route) else route)
+    if set(order) != set(range(1, matrix.n_nodes)):
         raise InputError("improvement needs a complete route over all clients")
-    if params.l_delete > len(best):
+    if params.l_delete > len(order):
         raise InputError(
-            f"l_delete={params.l_delete} exceeds the {len(best)} clients in the route"
+            f"l_delete={params.l_delete} exceeds the {len(order)} clients in the route"
         )
-    best_cost = _order_schedule(best, matrix).total_cost
+    schedule = _order_schedule(order, matrix)
+    best_path, best_clock = [0, *order, 0], [*schedule.departures, schedule.total_cost]
     trace = []
     for _ in range(params.n_improve):
-        current = list(best)
+        path, clock = list(best_path), list(best_clock)
         deleted = []
         for _ in range(params.l_delete):
-            savings = _deletion_savings(current, matrix)
-            pool = np.lexsort((current, -savings))[: params.k_del]
-            deleted.append(current.pop(int(pool[int(rng.integers(0, len(pool)))])))
+            savings = _deletion_savings(path, clock, matrix)
+            pool = np.lexsort((path[1:-1], -savings))[: params.k_del]
+            i = 1 + int(pool[int(rng.integers(0, len(pool)))])
+            deleted.append(path[i])
+            _delete(path, clock, i, matrix)
         for node in deleted:
-            deltas = _tour_deltas(current, [node], matrix)[:, 0]
+            deltas = _insertion_deltas([path], [clock], [[node]], matrix)[:, 0, 0]
             pool = np.argsort(deltas, kind="stable")[: params.k_ins]
-            current.insert(int(pool[int(rng.integers(0, len(pool)))]), node)
-        cost = _order_schedule(current, matrix).total_cost
-        if cost < best_cost:
-            best, best_cost = tuple(current), cost
-        trace.append(best_cost)
-    return _result(best, trace, matrix, params)
+            _insert(path, clock, int(pool[int(rng.integers(0, len(pool)))]), node, matrix)
+        if clock[-1] < best_clock[-1]:
+            best_path, best_clock = path, clock
+        trace.append(best_clock[-1])
+    schedule = Schedule(tuple(best_clock[:-1]), best_clock[-1])
+    return _result(best_path[1:-1], schedule, trace, params)
 
 
 def solve(instance: Instance, matrix: MultiLayerMatrix, params: SolverParams) -> SolveResult:

@@ -388,12 +388,14 @@ def matrix_from_json(text: str) -> MultiLayerMatrix:
     _require_version(doc, "matrix")
     try:
         times = _times_from_json(doc["times"])
-        step = int(doc["step_seconds"])
-        closed = bool(doc.get("closed", False))
-        n_nodes = int(doc["n_nodes"])
-        n_layers = int(doc["n_layers"])
+        step, n_nodes, n_layers = (
+            _header_int(doc, name) for name in ("step_seconds", "n_nodes", "n_layers")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix document: {exc}") from exc
+    closed = doc.get("closed", False)
+    if type(closed) is not bool:
+        raise InputError(f"matrix field 'closed' = {json.dumps(closed)} is not a JSON bool")
     matrix = MultiLayerMatrix(times=times, step_seconds=step, closed=closed)
     if matrix.n_nodes != n_nodes or matrix.n_layers != n_layers:
         raise InputError(
@@ -401,6 +403,15 @@ def matrix_from_json(text: str) -> MultiLayerMatrix:
             f"array is {matrix.n_layers}x{matrix.n_nodes}x{matrix.n_nodes}"
         )
     return matrix
+
+
+def _header_int(doc: dict, name: str) -> int:
+    """A header field of a matrix document; it must be a JSON integer, which
+    a float, a string or a bool (an int to Python) is not."""
+    value = doc[name]
+    if type(value) is not int:
+        raise InputError(f"matrix field {name!r} = {json.dumps(value)} is not a JSON integer")
+    return value
 
 
 def _times_from_json(raw) -> np.ndarray:

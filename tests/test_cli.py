@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tdvrp.cli import main
-from tdvrp.model import load_matrix, matrix_to_json, save_instance, save_matrix
-from tdvrp.grasp import result_from_json
+from tdvrp.model import SolverParams, load_matrix, matrix_to_json, save_instance, save_matrix
+from tdvrp.grasp import result_from_json, result_to_json, solve
 
 from conftest import constant_matrix, grid_instance, make_matrix, random_layers
 
@@ -73,11 +73,14 @@ def test_solve_writes_result_and_is_reproducible(small_setup, tmp_path, capsys):
 
 def test_solve_clamps_l_delete_on_a_small_instance(small_setup, tmp_path):
     # the default l_delete is 6 but the instance has 4 clients
-    _, inst_path, _, matrix_path = small_setup
+    inst, inst_path, _, matrix_path = small_setup
     out = tmp_path / "result.json"
     assert main(["solve", "--instance", str(inst_path), "--matrix", str(matrix_path),
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["params"]["l_delete"] == 4
+    # a bare solve runs the library's default params
+    expected = solve(inst, load_matrix(matrix_path), SolverParams())
+    assert out.read_text() == result_to_json(expected) + "\n"
 
 
 def test_solve_reports_dimension_mismatch(small_setup, tmp_path, capsys):

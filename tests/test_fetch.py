@@ -87,11 +87,9 @@ def test_single_day_bounds_match_quota_arithmetic():
 
 
 def test_self_pair_accounting_flag():
-    with_self = plan_fetch(5, 2, start_epoch=START, include_self_pairs=True)
-    without = plan_fetch(5, 2, start_epoch=START)
-    assert with_self.total_elements == 2 * 25
-    assert without.total_elements == 2 * 20
-    assert with_self.quota_elements == without.quota_elements == 50
+    plan = plan_fetch(5, 2, start_epoch=START)
+    assert plan.total_elements == 2 * 20  # useful: self-pairs skipped
+    assert plan.quota_elements == 50  # billed: the whole cross product
 
 
 def test_plan_rejects_degenerate_sizes():

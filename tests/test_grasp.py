@@ -5,6 +5,7 @@ import pytest
 
 from tdvrp.errors import InputError
 from tdvrp.grasp import (
+    _insertion_deltas,
     construct_route,
     enumerate_insertions,
     improve,
@@ -24,12 +25,22 @@ def _naive_cost(order, matrix):
     return naive_departures(list(order), matrix.times.tolist(), matrix.step_seconds)[1]
 
 
+def _insertions(partial, remaining, matrix):
+    """enumerate_insertions over the grid priced from the tour state of
+    `partial`, its clock taken from the reference walk."""
+    departures, total = naive_departures(list(partial), matrix.times.tolist(), matrix.step_seconds)
+    deltas = _insertion_deltas(
+        [[0, *partial, 0]], [[*departures, total]], [sorted(remaining)], matrix
+    )
+    return enumerate_insertions(partial, remaining, deltas[:, 0])
+
+
 # --- insertion enumeration ------------------------------------------------------
 
 
 def test_single_insertion_into_empty_route():
     m = constant_matrix(3, 450)
-    cands = enumerate_insertions((), {1}, m)
+    cands = _insertions((), {1}, m)
     assert len(cands) == 1
     assert cands[0].node == 1 and cands[0].position == 0
     assert cands[0].delta_cost == 900  # out and back
@@ -37,7 +48,7 @@ def test_single_insertion_into_empty_route():
 
 def test_two_slots_around_one_client():
     m = constant_matrix(3, 450)
-    cands = enumerate_insertions((1,), {2}, m)
+    cands = _insertions((1,), {2}, m)
     assert [(c.node, c.position) for c in cands] == [(2, 0), (2, 1)]
     # the tour grows from 2 arcs to 3, so both slots add one arc
     assert all(c.delta_cost == 450 for c in cands)
@@ -47,7 +58,7 @@ def test_deltas_match_from_scratch_evaluation(rng):
     layers = random_layers(rng, 4, 3)
     m = make_matrix(layers, 1200)
     partial = (2,)
-    cands = enumerate_insertions(partial, {1, 3}, m)
+    cands = _insertions(partial, {1, 3}, m)
     base = _naive_cost(partial, m)
     for c in cands:
         trial = partial[: c.position] + (c.node,) + partial[c.position :]
@@ -58,14 +69,14 @@ def test_deltas_match_from_scratch_evaluation(rng):
 
 def test_ties_break_by_node_then_position():
     m = constant_matrix(4, 300)  # every candidate has the same delta
-    cands = enumerate_insertions((1,), {2, 3}, m)
+    cands = _insertions((1,), {2, 3}, m)
     assert [(c.node, c.position) for c in cands] == [(2, 0), (2, 1), (3, 0), (3, 1)]
 
 
 def test_overlap_between_partial_and_remaining_is_rejected():
     m = constant_matrix(4, 300)
     with pytest.raises(InputError):
-        enumerate_insertions((1,), {1, 2}, m)
+        _insertions((1,), {1, 2}, m)
 
 
 # --- construction ----------------------------------------------------------------
@@ -75,7 +86,7 @@ def test_pure_greedy_is_seed_independent(rng):
     layers = random_layers(rng, 7, 4)
     m = make_matrix(layers, 1800)
     routes = {
-        construct_route(m, 1, np.random.default_rng(seed)).order for seed in range(8)
+        construct_route(m, 1, np.random.default_rng(seed), 1)[0].order for seed in range(8)
     }
     assert len(routes) == 1
 
@@ -84,7 +95,7 @@ def test_two_clients_always_yield_a_permutation(rng):
     layers = random_layers(rng, 3, 2)
     m = make_matrix(layers, 1800)
     for seed in range(6):
-        route = construct_route(m, 3, np.random.default_rng(seed))
+        (route,) = construct_route(m, 3, np.random.default_rng(seed), 1)
         assert route.is_complete(3)
 
 
@@ -108,7 +119,7 @@ def test_greedy_matches_independent_trace(rng):
         order.insert(pos, node)
         remaining.discard(node)
 
-    route = construct_route(m, 1, np.random.default_rng(0))
+    (route,) = construct_route(m, 1, np.random.default_rng(0), 1)
     assert route.order == tuple(order)
 
 
@@ -120,7 +131,7 @@ def test_single_trial_equals_construct_route(rng):
     m = make_matrix(layers, 1800)
     params = SolverParams(n_grasp=1, k_grasp=1, seed=5)
     result = run_grasp(m, params, np.random.default_rng(5))
-    assert result.best_route.order == construct_route(m, 1, np.random.default_rng(5)).order
+    assert result.best_route.order == construct_route(m, 1, np.random.default_rng(5), 1)[0].order
     assert len(result.cost_trace) == 1
 
 

@@ -1,8 +1,9 @@
 """The batched lane walk against the scalar reference recursion.
 
 `model._advance` prices many tours at once, each lane starting from a cached
-departure part-way along a tour. These properties check it, and the move
-pricing, lockstep construction and exhaustive search built on it, against
+departure part-way along a tour. These properties check it, the tour edits
+that keep a clock, and the move pricing, lockstep construction and
+exhaustive search built on them, against
 `naive_departures` and plain one-at-a-time loops on random tours, start
 slots and matrices: integer and fractional layers, departures far past the
 horizon, empty and one-client tours, values drawn from a narrow range so that
@@ -15,7 +16,7 @@ from itertools import permutations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tdvrp.grasp import _deletion_savings, _insertion_deltas, enumerate_insertions, run_grasp
+from tdvrp.grasp import _delete, _deletion_savings, _insert, _insertion_deltas, run_grasp
 from tdvrp.model import MultiLayerMatrix, SolverParams, _advance, average_matrix
 from tdvrp.oracle import brute_force_optimum
 
@@ -108,6 +109,27 @@ def test_insertion_deltas_match_full_reevaluation(data):
     assert _exact(deltas) == _exact(expected)
 
 
+def _state(order, matrix):
+    """The tour state of `order`, its clock from the reference walk."""
+    departures, total = _naive(order, matrix)
+    return [0, *order, 0], [*departures, total]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_edits_keep_the_clock_of_the_path(data):
+    matrix = data.draw(matrices())
+    path, clock = _state(data.draw(tours(matrix)), matrix)
+    for _ in range(data.draw(st.integers(1, 12))):
+        free = sorted(set(range(1, matrix.n_nodes)) - set(path))
+        if len(path) > 2 and (not free or data.draw(st.booleans())):
+            _delete(path, clock, data.draw(st.integers(1, len(path) - 2)), matrix)
+        else:
+            node = data.draw(st.sampled_from(free))
+            _insert(path, clock, data.draw(st.integers(0, len(path) - 2)), node, matrix)
+        assert _exact(clock) == _exact(_state(path[1:-1], matrix)[1])
+
+
 @SETTINGS
 @given(data=st.data())
 def test_deletion_savings_match_full_reevaluation(data):
@@ -115,33 +137,36 @@ def test_deletion_savings_match_full_reevaluation(data):
     order = data.draw(tours(matrix, min_clients=1))
     base = _naive(order, matrix)[1]
     expected = [base - _naive(order[:i] + order[i + 1:], matrix)[1] for i in range(len(order))]
-    assert _exact(_deletion_savings(list(order), matrix)) == _exact(expected)
+    assert _exact(_deletion_savings(*_state(order, matrix), matrix)) == _exact(expected)
 
 
 def test_deleting_the_only_client_leaves_a_free_empty_tour():
     times = np.full((2, 3, 3), 500)  # a diagonal read would add 500
     matrix = MultiLayerMatrix(times=times, step_seconds=600)
-    assert _deletion_savings([2], matrix).tolist() == [1000]
-    assert _deletion_savings([2], average_matrix(matrix)).tolist() == [1000.0]
+    assert _deletion_savings(*_state((2,), matrix), matrix).tolist() == [1000]
+    averaged = average_matrix(matrix)
+    assert _deletion_savings(*_state((2,), averaged), averaged).tolist() == [1000.0]
 
 
 # --- lockstep construction ---------------------------------------------------
 
 
 def _trial_by_trial(matrix, params, rng):
-    """run_grasp rebuilt one trial after another from enumerate_insertions,
-    each pick drawn just before it is made from a plain sort of the
-    candidates by (delta, node, position)."""
+    """run_grasp rebuilt one trial after another, each pick drawn just before
+    it is made from a plain sort of the candidates by (delta, node,
+    position), every delta priced by two reference walks."""
     trace, best = [], None
     for _ in range(params.n_grasp):
         order, remaining = (), set(range(1, matrix.n_nodes))
         while remaining:
+            base = _naive(order, matrix)[1]
             candidates = sorted(
-                enumerate_insertions(order, remaining, matrix).tolist(),
-                key=lambda c: (c[2], c[0], c[1]),
+                (_naive(order[:p] + (node,) + order[p:], matrix)[1] - base, node, p)
+                for node in remaining
+                for p in range(len(order) + 1)
             )
             pick = int(rng.integers(0, min(params.k_grasp, len(candidates))))
-            node, position, _ = candidates[pick]
+            _, node, position = candidates[pick]
             order = order[:position] + (node,) + order[position:]
             remaining.discard(node)
         cost = _naive(order, matrix)[1]

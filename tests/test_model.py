@@ -340,7 +340,7 @@ def test_matrix_json_rejects_bad_documents():
         matrix_from_json(json.dumps(doc))
 
 
-def _matrix_document(times, closed=False):
+def _matrix_document(times, closed=False, **header):
     return json.dumps({
         "version": 1,
         "n_nodes": len(times[0]),
@@ -348,7 +348,27 @@ def _matrix_document(times, closed=False):
         "step_seconds": 60,
         "closed": closed,
         "times": times,
+        **header,
     })
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("step_seconds", 7.9, "integer"),
+        ("step_seconds", True, "integer"),
+        ("step_seconds", "60", "integer"),
+        ("n_nodes", 2.0, "integer"),
+        ("n_layers", True, "integer"),
+        ("closed", "no", "bool"),
+        ("closed", 1, "bool"),
+    ],
+)
+def test_matrix_json_rejects_coerced_header_fields(field, value, kind):
+    text = _matrix_document([[[0, 5], [5, 0]]], **{field: value})
+    with pytest.raises(InputError) as info:
+        matrix_from_json(text)
+    assert str(info.value) == f"matrix field '{field}' = {json.dumps(value)} is not a JSON {kind}"
 
 
 def test_matrix_json_rejects_float_entries():
