@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-instance, gen-matrix, fetch, solve, compare, export-geojson.
-Exit codes: 0 success, 2 input error, 3 backend error, 4 internal invariant
-failure.
+Exit codes: 0 success, 2 input error (a bad or unreadable input file, an
+unwritable output path, a bad argument), 3 backend error, 4 internal
+invariant failure.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import fetch as fetch_mod
 from .compare import format_hm, report_csv, report_table, run_compare
@@ -111,14 +111,11 @@ def cmd_gen_matrix(args) -> int:
 
 def cmd_fetch(args) -> int:
     instance = load_instance(args.instance)
-    start_epoch = args.start_epoch
-    if start_epoch is None:
-        start_epoch = fetch_mod.default_query_epoch()
     plan = fetch_mod.plan_fetch(
         instance.n_nodes,
         args.layers,
         step_seconds=args.step_seconds,
-        start_epoch=start_epoch,
+        start_epoch=args.start_epoch,
         elements_per_request_limit=args.per_request_limit,
         daily_quota=args.daily_quota,
     )
@@ -130,7 +127,7 @@ def cmd_fetch(args) -> int:
     if args.backend == "synthetic":
         # offline replay of a generated matrix: it bills nothing, so no quota
         source = generate_synthetic(instance, args.layers, args.step_seconds, _profile_from(args))
-        client = fetch_mod.RecordedBackend.from_matrix(instance, source, start_epoch)
+        client = fetch_mod.RecordedBackend.from_matrix(instance, source, plan.start_epoch)
         budget = None
     else:
         if args.backend == "recorded":
@@ -144,8 +141,6 @@ def cmd_fetch(args) -> int:
     if budget is not None:
         print(f"quota usage: {budget.elements_used}/{budget.daily_quota} elements")
     report = validate_matrix(matrix)
-    if report.ok and not matrix.closed:
-        matrix = replace(matrix, closed=True)
     save_matrix(matrix, args.out)
     print(f"wrote matrix to {args.out}")
     print(report.summary())
@@ -276,7 +271,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except TdvrpError as exc:
+    except (TdvrpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -5,7 +5,10 @@ crossed with a list of destinations) and bills per element, with a cap on
 elements per request and a daily element quota. plan_fetch tiles each layer
 of the matrix into rectangles under the per-request cap; execute_fetch plays
 the plan against a backend, caching every element so interrupted or
-multi-day fetches resume for free.
+multi-day fetches resume for free. A transient backend failure is retried
+up to MAX_ATTEMPTS times, sleeping RETRY_BASE_DELAY seconds, then twice as
+long before each further try; a quota signal, the provider's or the local
+budget's, suspends the plan at the request it refused.
 
 Elements are held in a dense store keyed by index: per departure epoch, an
 (n, n) int64 value layer and a boolean "known" mask. The cache file keeps its
@@ -47,6 +50,9 @@ FREE_DAILY_QUOTA = 2_500
 PAID_DAILY_QUOTA = 100_000
 QUERY_LEAD_SECONDS = 14 * 86_400  # providers want departure times in the future
 API_KEY_ENV_VAR = "GOOGLE_MAPS_API_KEY"
+REQUEST_TIMEOUT_SECONDS = 30.0
+MAX_ATTEMPTS = 5
+RETRY_BASE_DELAY = 0.5  # seconds
 
 
 @dataclass(frozen=True)
@@ -91,12 +97,6 @@ class QuotaBudget:
         self.elements_used += elements
 
 
-def default_query_epoch(now=None) -> int:
-    """Default departure date for layer 0: two weeks from now."""
-    base = int(time.time()) if now is None else int(now)
-    return base + QUERY_LEAD_SECONDS
-
-
 def max_nodes_single_day(n_layers: int, daily_quota: int) -> int:
     """Largest N whose full fetch (n_layers * N^2 billed elements) fits in one day."""
     if n_layers < 1 or daily_quota < 1:
@@ -119,6 +119,7 @@ def plan_fetch(
     grouped with the full destination list while the cross product stays
     under the cap; rows wider than the cap are split along destinations.
     The tiles partition each layer exactly (no duplicates, no holes).
+    Layer 0 departs at start_epoch, by default two weeks from now.
     """
     if n_nodes < 2:
         raise InputError(f"need at least 2 nodes, got {n_nodes}")
@@ -131,7 +132,7 @@ def plan_fetch(
     if step_seconds < 1:
         raise InputError("step_seconds must be >= 1")
     if start_epoch is None:
-        start_epoch = default_query_epoch()
+        start_epoch = int(time.time()) + QUERY_LEAD_SECONDS
 
     limit = min(elements_per_request_limit, daily_quota)
     all_nodes = tuple(range(n_nodes))
@@ -258,7 +259,7 @@ class LiveBackend:
 
     URL = "https://maps.googleapis.com/maps/api/distancematrix/json"
 
-    def __init__(self, api_key: str | None = None, session=None, timeout: float = 30.0):
+    def __init__(self, api_key: str | None = None, session=None):
         self._key = api_key or os.environ.get(API_KEY_ENV_VAR)
         if not self._key:
             raise InputError(
@@ -269,7 +270,6 @@ class LiveBackend:
 
             session = requests.Session()
         self._session = session
-        self._timeout = timeout
 
     def query(self, origins, destinations, departure_time):
         params = {
@@ -283,7 +283,7 @@ class LiveBackend:
         import requests
 
         try:
-            resp = self._session.get(self.URL, params=params, timeout=self._timeout)
+            resp = self._session.get(self.URL, params=params, timeout=REQUEST_TIMEOUT_SECONDS)
         except requests.RequestException as exc:
             raise TransientBackendError(f"request failed: {exc}") from exc
         if resp.status_code >= 500:
@@ -392,15 +392,13 @@ def execute_fetch(
     *,
     cache_path=None,
     budget: QuotaBudget | None = None,
-    max_attempts: int = 5,
-    retry_base_delay: float = 0.5,
     sleep=time.sleep,
 ) -> MultiLayerMatrix:
     """Run the plan against a backend and assemble the matrix.
 
     Requests whose elements are already cached are skipped entirely, so a
     rerun over a warm cache issues zero backend calls. Transient failures are
-    retried with exponential backoff (at most max_attempts tries); a quota
+    retried with exponential backoff (see the module docstring); a quota
     signal suspends the plan with progress preserved in the cache. Fetched
     values are stored as-is: real data is validated downstream, never fixed.
     Each request's departure_time is its layer's epoch, as plan_fetch makes it.
@@ -414,23 +412,19 @@ def execute_fetch(
     if cache_path is not None and os.path.exists(cache_path):
         _cut_torn_record(cache_path)
     cache_fh = open(cache_path, "a", encoding="utf-8") if cache_path else None
-    completed = 0
     try:
-        for req in plan.requests:
+        for index, req in enumerate(plan.requests):
             rows = np.array(req.origin_indices)[:, None]
             cols = np.array(req.destination_indices)
             tile = rows, cols
             if known[req.layer][tile].all():
-                completed += 1
                 continue
-            if budget is not None:
-                try:
+            try:
+                if budget is not None:
                     budget.charge(req.billed_elements)
-                except QuotaExhaustedError:
-                    raise PlanSuspendedError(completed, len(plan.requests), cache_path)
-            grid = _query_with_retry(
-                client, req, coords, max_attempts, retry_base_delay, sleep, cache_path, completed, plan
-            )
+                grid = _query_with_retry(client, req, coords, sleep)
+            except QuotaExhaustedError:
+                raise PlanSuspendedError(index, len(plan.requests), cache_path)
             got, answered = _answers(grid, rows != cols)  # holes are reported at assembly
             layer_values = values[req.layer]
             layer_values[tile] = np.where(answered, got, layer_values[tile])
@@ -443,7 +437,6 @@ def execute_fetch(
                     for o, d, s in zip(rows[a, 0].tolist(), cols[b].tolist(), got[a, b].tolist())
                 )
                 cache_fh.flush()
-            completed += 1
     finally:
         if cache_fh is not None:
             cache_fh.close()
@@ -464,27 +457,25 @@ def _answers(grid, distinct: np.ndarray):
         return np.where(answered, cells, 0).astype(np.int64), answered
 
 
-def _query_with_retry(client, req, coords, max_attempts, base_delay, sleep, cache_path, completed, plan):
+def _query_with_retry(client, req, coords, sleep):
     origins = [coords[o] for o in req.origin_indices]
     destinations = [coords[d] for d in req.destination_indices]
     last_error = None
-    for attempt in range(max_attempts):
-        if attempt > 0 and base_delay > 0:
-            sleep(base_delay * 2 ** (attempt - 1))
+    for attempt in range(MAX_ATTEMPTS):
+        if attempt > 0:
+            sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
         try:
             grid = client.query(origins, destinations, req.departure_time)
         except TransientBackendError as exc:
             last_error = exc
             continue
-        except QuotaExhaustedError:
-            raise PlanSuspendedError(completed, len(plan.requests), cache_path)
         except PermanentBackendError as exc:
             raise PermanentBackendError(f"{_describe(req)} failed: {exc}") from exc
         if len(grid) != len(origins) or any(len(row) != len(destinations) for row in grid):
             raise PermanentBackendError(f"{_describe(req)} returned a malformed grid")
         return grid
     raise PermanentBackendError(
-        f"{_describe(req)} failed after {max_attempts} attempts: {last_error}"
+        f"{_describe(req)} failed after {MAX_ATTEMPTS} attempts: {last_error}"
     )
 
 

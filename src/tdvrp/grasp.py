@@ -65,8 +65,6 @@ class SolveResult:
     best_schedule: Schedule
     cost_trace: tuple
     params: SolverParams
-    seed: int
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 def _result(order, schedule: Schedule, trace, params: SolverParams) -> SolveResult:
@@ -75,7 +73,6 @@ def _result(order, schedule: Schedule, trace, params: SolverParams) -> SolveResu
         best_schedule=schedule,
         cost_trace=tuple(trace),
         params=params,
-        seed=params.seed,
     )
 
 
@@ -158,10 +155,10 @@ def enumerate_insertions(partial, remaining, deltas) -> np.recarray:
     return candidates.view(np.recarray)
 
 
-def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int) -> list:
+def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int):
     """Grow `trials` tours from empty in lockstep (see the module docstring),
     drawing each insertion uniformly from the k_grasp cheapest candidates;
-    return them in trial order.
+    return their (paths, clocks) in trial order.
     """
     if k_grasp < 1:
         raise InputError(f"k_grasp must be >= 1, got {k_grasp}")
@@ -181,7 +178,7 @@ def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int) ->
             node, pos, _ = enumerate_insertions(path[1:-1], free, deltas[:, t]).item(pick[m])
             free.remove(node)
             _insert(path, clock, pos, node, matrix)
-    return [Route(path[1:-1]) for path in paths]
+    return paths, clocks
 
 
 def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
@@ -189,12 +186,12 @@ def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResul
 
     The cost trace lists every trial's cost in trial order.
     """
-    routes = construct_route(matrix, params.k_grasp, rng, params.n_grasp)
-    schedules = [_order_schedule(route.order, matrix) for route in routes]
-    trace = [schedule.total_cost for schedule in schedules]
+    paths, clocks = construct_route(matrix, params.k_grasp, rng, params.n_grasp)
+    trace = [clock[-1] for clock in clocks]
     # the first of the cheapest tours
     best = min(range(len(trace)), key=trace.__getitem__)
-    return _result(routes[best].order, schedules[best], trace, params)
+    clock = clocks[best]
+    return _result(paths[best][1:-1], Schedule(tuple(clock[:-1]), clock[-1]), trace, params)
 
 
 def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
@@ -264,8 +261,8 @@ def result_to_json(result: SolveResult) -> str:
         "departures_s": [int(round(v)) for v in result.best_schedule.departures],
         "total_cost_s": int(round(result.best_schedule.total_cost)),
         "cost_trace_s": [int(round(v)) for v in result.cost_trace],
-        "seed": int(result.seed),
-        "rng": result.rng_algorithm,
+        "seed": int(p.seed),
+        "rng": RNG_ALGORITHM,
         "params": {
             "n_grasp": p.n_grasp,
             "k_grasp": p.k_grasp,
@@ -286,6 +283,8 @@ def result_from_json(text: str) -> dict:
         raise InputError(
             f"result is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
-    if not isinstance(doc, dict) or "route" not in doc:
-        raise InputError("result document must be a JSON object with a 'route' field")
+    if not isinstance(doc, dict) or not {"route", "departures_s"} <= doc.keys():
+        raise InputError(
+            "result document must be a JSON object with 'route' and 'departures_s' fields"
+        )
     return doc

@@ -10,6 +10,7 @@ from .errors import InputError
 from .model import Instance, Node, instance_from_json
 
 PARIS_CENTER = (48.8566, 2.3522)
+SPREAD_DEG = 0.12  # clients lie within this many degrees of the center
 
 
 def bundled_paris() -> Instance:
@@ -18,20 +19,15 @@ def bundled_paris() -> Instance:
     return instance_from_json(text)
 
 
-def random_instance(
-    n_clients: int,
-    seed: int = 0,
-    center: tuple[float, float] = PARIS_CENTER,
-    spread_deg: float = 0.12,
-) -> Instance:
-    """Depot at the center, clients uniform in a square around it."""
+def random_instance(n_clients: int, seed: int = 0) -> Instance:
+    """Depot at the center of Paris, clients uniform in a square around it."""
     if n_clients < 1:
         raise InputError(f"need at least one client, got {n_clients}")
     rng = np.random.default_rng(seed)
-    lat0, lon0 = center
+    lat0, lon0 = PARIS_CENTER
     nodes = [Node(0, lat0, lon0, "Depot")]
     for i in range(1, n_clients + 1):
-        lat = lat0 + rng.uniform(-spread_deg, spread_deg)
-        lon = lon0 + rng.uniform(-spread_deg, spread_deg)
+        lat = lat0 + rng.uniform(-SPREAD_DEG, SPREAD_DEG)
+        lon = lon0 + rng.uniform(-SPREAD_DEG, SPREAD_DEG)
         nodes.append(Node(i, round(float(lat), 6), round(float(lon), 6), f"Client {i}"))
     return Instance(nodes=tuple(nodes))

@@ -34,7 +34,6 @@ class Instance:
     """A depot plus client locations. Node ids are 0..N-1 with the depot at 0."""
 
     nodes: tuple[Node, ...]
-    depot_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -49,8 +48,6 @@ class Instance:
                 raise InputError(f"node {node.id}: latitude {node.lat} out of range")
             if not -180.0 <= node.lon <= 180.0:
                 raise InputError(f"node {node.id}: longitude {node.lon} out of range")
-        if self.depot_index != 0:
-            raise InputError(f"depot index must be 0, got {self.depot_index}")
 
     @property
     def n_nodes(self) -> int:
@@ -82,14 +79,13 @@ class MultiLayerMatrix:
 
     Layer s holds travel times (seconds) for departures in
     [s*step_seconds, (s+1)*step_seconds); departures at or past the horizon
-    fall back to the last layer. Layers may be asymmetric (one-way roads).
-    The `closed` flag records that every layer is known to satisfy the
-    triangle inequality (see validate_matrix).
+    fall back to the last layer. Layers may be asymmetric (one-way roads)
+    and need not satisfy the triangle inequality; validate_matrix reports
+    where they do not.
     """
 
     times: np.ndarray
     step_seconds: int
-    closed: bool = False
 
     def __post_init__(self):
         if int(self.step_seconds) <= 0:
@@ -273,11 +269,7 @@ def average_matrix(matrix: MultiLayerMatrix) -> MultiLayerMatrix:
     lands in layer 0. Entries are exact means and may be fractional.
     """
     mean = matrix.times.sum(axis=0, dtype=np.float64) / matrix.n_layers
-    return MultiLayerMatrix(
-        times=mean[np.newaxis, :, :],
-        step_seconds=matrix.horizon_seconds,
-        closed=matrix.closed,
-    )
+    return MultiLayerMatrix(times=mean[np.newaxis, :, :], step_seconds=matrix.horizon_seconds)
 
 
 @dataclass(frozen=True)
@@ -327,8 +319,8 @@ def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
     """Scan every layer for negative entries, nonzero diagonal and triangle
     inequality violations t(i,k) > t(i,j) + t(j,k).
 
-    Diagnostic only: nothing is modified. A clean report is the condition for
-    marking a matrix `closed`.
+    Diagnostic only: nothing is modified, and the solver accepts a matrix
+    whatever its report says.
     """
     arr = matrix.times
     n = matrix.n_nodes
@@ -362,10 +354,12 @@ def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
 #
 # Matrix file (JSON, integer seconds):
 #   {"version": 1, "n_nodes": N, "n_layers": S, "step_seconds": int,
-#    "closed": bool, "times": [layer][row][col]}
-# Instance file (JSON):
+#    "times": [layer][row][col]}
+# Instance file (JSON; the depot is node 0):
 #   {"version": 1, "depot_index": 0,
-#    "nodes": [{"id": int, "lat": float, "lon": float, "label": str}, ...]}
+#    "nodes": [{"id": int, "lat": number, "lon": number, "label": str}, ...]}
+# Readers ignore keys they do not use, such as the "closed" flag older
+# matrix files carry.
 
 
 def matrix_to_json(matrix: MultiLayerMatrix) -> str:
@@ -377,7 +371,6 @@ def matrix_to_json(matrix: MultiLayerMatrix) -> str:
         "n_nodes": matrix.n_nodes,
         "n_layers": matrix.n_layers,
         "step_seconds": matrix.step_seconds,
-        "closed": bool(matrix.closed),
         "times": times.tolist(),
     }
     return json.dumps(doc)
@@ -393,10 +386,7 @@ def matrix_from_json(text: str) -> MultiLayerMatrix:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix document: {exc}") from exc
-    closed = doc.get("closed", False)
-    if type(closed) is not bool:
-        raise InputError(f"matrix field 'closed' = {json.dumps(closed)} is not a JSON bool")
-    matrix = MultiLayerMatrix(times=times, step_seconds=step, closed=closed)
+    matrix = MultiLayerMatrix(times=times, step_seconds=step)
     if matrix.n_nodes != n_nodes or matrix.n_layers != n_layers:
         raise InputError(
             f"matrix header says {n_layers} layers of {n_nodes} nodes but times "
@@ -444,7 +434,7 @@ def _times_from_json(raw) -> np.ndarray:
 def instance_to_json(instance: Instance) -> str:
     doc = {
         "version": 1,
-        "depot_index": instance.depot_index,
+        "depot_index": 0,
         "nodes": [
             {"id": n.id, "lat": n.lat, "lon": n.lon, "label": n.label}
             for n in instance.nodes
@@ -456,16 +446,35 @@ def instance_to_json(instance: Instance) -> str:
 def instance_from_json(text: str) -> Instance:
     doc = _parse_json(text, "instance")
     _require_version(doc, "instance")
-    try:
-        raw = sorted(doc["nodes"], key=lambda n: int(n["id"]))
-        nodes = tuple(
-            Node(int(n["id"]), float(n["lat"]), float(n["lon"]), str(n.get("label", "")))
-            for n in raw
+    depot = doc.get("depot_index", 0)
+    if type(depot) is not int or depot != 0:
+        raise InputError(
+            f"instance field 'depot_index' = {json.dumps(depot)} is not the JSON integer 0"
         )
-        depot = int(doc.get("depot_index", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    try:
+        nodes = [_node_from_json(raw, pos) for pos, raw in enumerate(doc["nodes"])]
+    except (KeyError, TypeError, OverflowError) as exc:  # an int too large for a float
         raise InputError(f"malformed instance document: {exc}") from exc
-    return Instance(nodes=nodes, depot_index=depot)
+    return Instance(nodes=tuple(sorted(nodes, key=lambda node: node.id)))
+
+
+def _node_from_json(raw: dict, pos: int) -> Node:
+    """Entry `pos` of an instance's node list. Each field must have its JSON
+    type: a float is not an id, and a string or a bool (an int to Python) is
+    not a coordinate."""
+
+    def field(name, types, kind):
+        value = raw[name]
+        if type(value) not in types:
+            raise InputError(
+                f"instance entry nodes[{pos}].{name} = {json.dumps(value)} is not a JSON {kind}"
+            )
+        return value
+
+    node_id = field("id", (int,), "integer")
+    lat, lon = (float(field(name, (int, float), "number")) for name in ("lat", "lon"))
+    label = field("label", (str,), "string") if "label" in raw else ""
+    return Node(node_id, lat, lon, label)
 
 
 def save_matrix(matrix: MultiLayerMatrix, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .model import Instance, MultiLayerMatrix, Route, Schedule, _advance, _order_schedule
 
-DEFAULT_CLIENT_CAP = 10
+MAX_CLIENTS = 10  # the search is factorial
 # the last BLOCK_CLIENTS clients of a tour are permuted in one batch of
 # at most 7! = 5,040 lanes
 BLOCK_CLIENTS = 7
@@ -63,21 +63,19 @@ class Violation:
     detail: str
 
 
-def brute_force_optimum(
-    instance: Instance, matrix: MultiLayerMatrix, max_clients: int = DEFAULT_CLIENT_CAP
-) -> tuple[Route, Schedule]:
+def brute_force_optimum(instance: Instance, matrix: MultiLayerMatrix) -> tuple[Route, Schedule]:
     """Exact optimum by enumerating every client permutation.
 
     Ties go to the lexicographically smallest permutation. Refuses instances
-    with more than `max_clients` clients (the search is factorial).
+    with more than MAX_CLIENTS clients.
     """
     n = instance.n_nodes
     if matrix.n_nodes != n:
         raise InputError(f"matrix covers {matrix.n_nodes} nodes, instance has {n}")
     n_clients = n - 1
-    if n_clients > max_clients:
+    if n_clients > MAX_CLIENTS:
         raise InputError(
-            f"{n_clients} clients exceeds the exhaustive-search cap of {max_clients}"
+            f"{n_clients} clients exceeds the exhaustive-search cap of {MAX_CLIENTS}"
         )
     clients = range(1, n)
     width = min(n_clients, BLOCK_CLIENTS)
@@ -168,32 +166,3 @@ def check_milp_feasibility(sol: ArcSolution, n: int) -> list[Violation]:
                 )
     return violations
 
-
-def objective_of(sol: ArcSolution, matrix: MultiLayerMatrix):
-    """Total driving time of the tour encoded in sol.x.
-
-    Requires x to encode one closed tour through every node; disconnected
-    structures are rejected with the offending cycle named.
-    """
-    n = sol.n_nodes
-    if matrix.n_nodes != n:
-        raise InputError(f"matrix covers {matrix.n_nodes} nodes, solution has {n}")
-    succ = {}
-    for i in range(n):
-        outs = np.flatnonzero(sol.x[i])
-        if outs.size != 1:
-            raise InputError(f"node {i} has {outs.size} outgoing arcs, expected 1")
-        succ[i] = int(outs[0])
-    order = []
-    current = succ[0]
-    while current != 0:
-        order.append(current)
-        if len(order) > n:
-            raise InputError("arc assignment does not close at the depot")
-        current = succ[current]
-    if len(order) != n - 1:
-        missing = sorted(set(range(1, n)) - set(order))
-        raise InputError(
-            f"arc assignment splits into subtours; depot tour skips nodes {missing}"
-        )
-    return _order_schedule(tuple(order), matrix).total_cost

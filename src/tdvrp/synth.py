@@ -79,7 +79,8 @@ def min_plus_closure(d: np.ndarray) -> np.ndarray:
 def generate_synthetic(
     instance: Instance, n_layers: int, step_seconds: int, profile: TrafficProfile
 ) -> MultiLayerMatrix:
-    """Build a closed multi-layer matrix from coordinates alone.
+    """Build a multi-layer matrix from coordinates alone; every layer is
+    closed under min-plus, so it satisfies the triangle inequality.
 
     Deterministic: the same (instance, n_layers, step_seconds, profile) always
     yields the same matrix.
@@ -108,4 +109,4 @@ def generate_synthetic(
         scaled = np.rint(base * profile.layer_multiplier(s) * jitter).astype(np.int64)
         np.fill_diagonal(scaled, 0)
         layers[s] = min_plus_closure(scaled)
-    return MultiLayerMatrix(times=layers, step_seconds=step_seconds, closed=True)
+    return MultiLayerMatrix(times=layers, step_seconds=step_seconds)

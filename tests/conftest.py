@@ -11,11 +11,9 @@ import pytest
 from tdvrp.model import Instance, MultiLayerMatrix, Node
 
 
-def make_matrix(layers, step_seconds, closed=False):
+def make_matrix(layers, step_seconds):
     """Matrix from plain nested lists."""
-    return MultiLayerMatrix(
-        times=np.asarray(layers, dtype=np.int64), step_seconds=step_seconds, closed=closed
-    )
+    return MultiLayerMatrix(times=np.asarray(layers, dtype=np.int64), step_seconds=step_seconds)
 
 
 def constant_matrix(n_nodes, value, n_layers=1, step_seconds=3600):

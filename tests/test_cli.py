@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from tdvrp.cli import main
-from tdvrp.model import SolverParams, load_matrix, matrix_to_json, save_instance, save_matrix
+from tdvrp.model import (
+    SolverParams,
+    load_matrix,
+    matrix_to_json,
+    save_instance,
+    save_matrix,
+    validate_matrix,
+)
 from tdvrp.grasp import result_from_json, result_to_json, solve
 
 from conftest import constant_matrix, grid_instance, make_matrix, random_layers
@@ -52,7 +59,7 @@ def test_gen_matrix_writes_valid_file(tmp_path, capsys):
     assert rc == 0
     matrix = load_matrix(out)
     assert matrix.n_layers == 4 and matrix.n_nodes == 6
-    assert matrix.closed
+    assert validate_matrix(matrix).ok
     assert "matrix clean" in capsys.readouterr().out
 
 
@@ -203,6 +210,27 @@ def test_export_geojson_from_result(small_setup, tmp_path):
     assert geo["type"] == "FeatureCollection"
     types = [f["geometry"]["type"] for f in geo["features"]]
     assert types.count("Point") == 5 and types.count("LineString") == 1
+
+
+@pytest.mark.parametrize("case", ["missing result", "result without departures", "missing out dir"])
+def test_file_errors_exit_with_input_error(case, small_setup, tmp_path, capsys):
+    _, inst_path, _, matrix_path = small_setup
+    result_path = tmp_path / "result.json"
+    export = ["export-geojson", "--result", str(result_path), "--instance", str(inst_path),
+              "--out", str(tmp_path / "tour.geojson")]
+    if case == "missing result":
+        argv, expected = export, "No such file"
+    elif case == "result without departures":
+        result_path.write_text(json.dumps({"route": [1, 2, 3, 4]}))
+        argv, expected = export, "'departures_s'"
+    else:
+        out = tmp_path / "no-such-dir" / "out.json"
+        assert main(["gen-instance", "--clients", "3", "--out", str(out)]) == 2
+        argv = ["gen-matrix", "--instance", str(inst_path), "--out", str(out)]
+        expected = "No such file"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
 
 
 def test_matrix_files_round_trip_through_cli(small_setup, tmp_path):

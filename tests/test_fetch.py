@@ -13,6 +13,7 @@ from tdvrp.errors import (
     InputError,
     PermanentBackendError,
     PlanSuspendedError,
+    QuotaExhaustedError,
     TransientBackendError,
 )
 from tdvrp.fetch import (
@@ -233,13 +234,15 @@ def test_transient_failures_are_retried():
             return self.inner.query(origins, destinations, departure_time)
 
     plan = plan_fetch(3, 1, step_seconds=3600, start_epoch=START)
-    matrix = execute_fetch(
-        plan, Flaky(backend, 2), inst, retry_base_delay=0, max_attempts=5
-    )
+    sleeps = []
+    matrix = execute_fetch(plan, Flaky(backend, 2), inst, sleep=sleeps.append)
     assert matrix.n_nodes == 3
+    assert sleeps == [0.5, 1.0]  # exponential backoff from 0.5 s
 
-    with pytest.raises(PermanentBackendError, match="after 2 attempts"):
-        execute_fetch(plan, Flaky(backend, 99), inst, retry_base_delay=0, max_attempts=2)
+    sleeps.clear()
+    with pytest.raises(PermanentBackendError, match="after 5 attempts: blip"):
+        execute_fetch(plan, Flaky(backend, 99), inst, sleep=sleeps.append)
+    assert sleeps == [0.5, 1.0, 2.0, 4.0]
 
 
 def test_permanent_failure_names_the_request():
@@ -250,8 +253,10 @@ def test_permanent_failure_names_the_request():
             raise PermanentBackendError("denied")
 
     plan = plan_fetch(3, 2, step_seconds=3600, start_epoch=START)
+    sleeps = []
     with pytest.raises(PermanentBackendError, match="layer=0"):
-        execute_fetch(plan, Refusing(), inst, retry_base_delay=0)
+        execute_fetch(plan, Refusing(), inst, sleep=sleeps.append)
+    assert sleeps == []  # a permanent failure is not retried
 
 
 def test_quota_budget_suspends_with_resumable_progress(tmp_path):
@@ -269,6 +274,32 @@ def test_quota_budget_suspends_with_resumable_progress(tmp_path):
     # a fresh day finishes the job from the cache
     matrix = execute_fetch(plan, backend, inst, cache_path=cache, budget=QuotaBudget(200))
     assert (matrix.times[:, ~np.eye(6, dtype=bool)] == 600).all()
+
+
+def test_provider_quota_signal_suspends_at_the_refused_request(tmp_path):
+    inst = grid_instance(4)
+    backend, _ = _constant_backend(inst, 2, 3600)
+    plan = plan_fetch(4, 2, step_seconds=3600, start_epoch=START, elements_per_request_limit=8)
+
+    class Rationed:
+        def __init__(self, answers):
+            self.answers = answers
+
+        def query(self, origins, destinations, departure_time):
+            if self.answers == 0:
+                raise QuotaExhaustedError("provider signalled OVER_QUERY_LIMIT")
+            self.answers -= 1
+            return backend.query(origins, destinations, departure_time)
+
+    cache = tmp_path / "cache.jsonl"
+    with pytest.raises(PlanSuspendedError) as err:
+        execute_fetch(plan, Rationed(1), inst, cache_path=cache)
+    assert (err.value.completed_requests, err.value.total_requests) == (1, 4)
+    # the rerun skips the cached request and is refused at the third
+    with pytest.raises(PlanSuspendedError) as err:
+        execute_fetch(plan, Rationed(1), inst, cache_path=cache)
+    assert err.value.completed_requests == 2
+    execute_fetch(plan, Rationed(2), inst, cache_path=cache)
 
 
 def test_budget_charge_accounts_elements():

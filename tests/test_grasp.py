@@ -86,7 +86,8 @@ def test_pure_greedy_is_seed_independent(rng):
     layers = random_layers(rng, 7, 4)
     m = make_matrix(layers, 1800)
     routes = {
-        construct_route(m, 1, np.random.default_rng(seed), 1)[0].order for seed in range(8)
+        tuple(construct_route(m, 1, np.random.default_rng(seed), 1)[0][0][1:-1])
+        for seed in range(8)
     }
     assert len(routes) == 1
 
@@ -95,8 +96,8 @@ def test_two_clients_always_yield_a_permutation(rng):
     layers = random_layers(rng, 3, 2)
     m = make_matrix(layers, 1800)
     for seed in range(6):
-        (route,) = construct_route(m, 3, np.random.default_rng(seed), 1)
-        assert route.is_complete(3)
+        (path,), _ = construct_route(m, 3, np.random.default_rng(seed), 1)
+        assert sorted(path[1:-1]) == [1, 2]
 
 
 def test_greedy_matches_independent_trace(rng):
@@ -119,8 +120,9 @@ def test_greedy_matches_independent_trace(rng):
         order.insert(pos, node)
         remaining.discard(node)
 
-    (route,) = construct_route(m, 1, np.random.default_rng(0), 1)
-    assert route.order == tuple(order)
+    (path,), (clock,) = construct_route(m, 1, np.random.default_rng(0), 1)
+    assert path[1:-1] == order
+    assert clock[-1] == _naive_cost(order, m)
 
 
 # --- construction phase ----------------------------------------------------------
@@ -131,7 +133,8 @@ def test_single_trial_equals_construct_route(rng):
     m = make_matrix(layers, 1800)
     params = SolverParams(n_grasp=1, k_grasp=1, seed=5)
     result = run_grasp(m, params, np.random.default_rng(5))
-    assert result.best_route.order == construct_route(m, 1, np.random.default_rng(5), 1)[0].order
+    paths, _ = construct_route(m, 1, np.random.default_rng(5), 1)
+    assert list(result.best_route.order) == paths[0][1:-1]
     assert len(result.cost_trace) == 1
 
 

@@ -304,13 +304,20 @@ def test_matrix_is_immutable():
 
 
 def test_matrix_json_round_trip(rng):
-    m = make_matrix(random_layers(rng, 4, 3), 1800, closed=True)
+    m = make_matrix(random_layers(rng, 4, 3), 1800)
     text = matrix_to_json(m)
     again = matrix_from_json(text)
     assert np.array_equal(again.times, m.times)
     assert again.step_seconds == m.step_seconds
-    assert again.closed == m.closed
     assert matrix_to_json(again) == text
+
+
+def test_matrix_json_ignores_a_legacy_closed_flag():
+    # older files carry "closed"; it never changed how a matrix is read
+    times = [[[0, 5], [7, 0]]]
+    for closed in (True, False, "no"):
+        m = matrix_from_json(_matrix_document(times, closed=closed))
+        assert m.times.tolist() == times and m.step_seconds == 60
 
 
 def test_instance_json_round_trip():
@@ -323,6 +330,48 @@ def test_instance_json_round_trip():
     assert instance_to_json(again) == text
 
 
+def _instance_document(**node_fields):
+    nodes = [{"id": 0, "lat": 48.85, "lon": 2.35, "label": "Depot"},
+             {"id": 1, "lat": 48.86, "lon": 2.36, "label": "Client 1", **node_fields}]
+    return {"version": 1, "depot_index": 0, "nodes": nodes}
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("id", 1.9, "integer"),
+        ("id", True, "integer"),
+        ("lat", "48.85", "number"),
+        ("lon", True, "number"),
+        ("label", 7, "string"),
+    ],
+)
+def test_instance_json_rejects_coerced_node_fields(field, value, kind):
+    text = json.dumps(_instance_document(**{field: value}))
+    with pytest.raises(InputError) as info:
+        instance_from_json(text)
+    assert str(info.value) == (
+        f"instance entry nodes[1].{field} = {json.dumps(value)} is not a JSON {kind}"
+    )
+
+
+@pytest.mark.parametrize("depot", ["0", 0.0, False, 3])
+def test_instance_json_rejects_a_depot_other_than_node_0(depot):
+    text = json.dumps({**_instance_document(), "depot_index": depot})
+    with pytest.raises(InputError) as info:
+        instance_from_json(text)
+    assert str(info.value) == (
+        f"instance field 'depot_index' = {json.dumps(depot)} is not the JSON integer 0"
+    )
+
+
+def test_instance_json_reads_integer_coordinates_and_a_missing_label():
+    doc = _instance_document(lat=48, lon=2)
+    del doc["nodes"][1]["label"]
+    del doc["depot_index"]
+    assert instance_from_json(json.dumps(doc)).nodes[1] == Node(1, 48.0, 2.0, "")
+
+
 def test_matrix_json_rejects_bad_documents():
     with pytest.raises(InputError):
         matrix_from_json("not json")
@@ -333,20 +382,18 @@ def test_matrix_json_rejects_bad_documents():
         "n_nodes": 3,
         "n_layers": 2,
         "step_seconds": 60,
-        "closed": False,
         "times": [[[0, 1], [1, 0]]],  # header disagrees with the array
     }
     with pytest.raises(InputError):
         matrix_from_json(json.dumps(doc))
 
 
-def _matrix_document(times, closed=False, **header):
+def _matrix_document(times, **header):
     return json.dumps({
         "version": 1,
         "n_nodes": len(times[0]),
         "n_layers": len(times),
         "step_seconds": 60,
-        "closed": closed,
         "times": times,
         **header,
     })
@@ -360,8 +407,6 @@ def _matrix_document(times, closed=False, **header):
         ("step_seconds", "60", "integer"),
         ("n_nodes", 2.0, "integer"),
         ("n_layers", True, "integer"),
-        ("closed", "no", "bool"),
-        ("closed", 1, "bool"),
     ],
 )
 def test_matrix_json_rejects_coerced_header_fields(field, value, kind):

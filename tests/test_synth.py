@@ -56,7 +56,7 @@ def test_flat_profile_gives_symmetric_constant_layers():
     assert np.array_equal(m.times[0], m.times[0].T)
     assert np.array_equal(m.times[0], m.times[1])
     assert np.array_equal(m.times[0], m.times[2])
-    assert m.closed
+    assert validate_matrix(m).ok
 
 
 def test_single_peak_layer_doubles_exactly():
