@@ -30,6 +30,18 @@ pick is drawn up front, one scalar `rng.integers` call per pick in the order
 the trials would draw them one after another; the stream, and the state
 improvement continues from, match a trial-by-trial build.
 
+Improvement rounds run in speculative batches. Most rounds do not beat the
+incumbent, and a round's draws do not depend on its tour: deletion d offers
+min(k_del, clients - d) picks and reinsertion e min(k_ins, slots), whatever
+was deleted. So every draw is made up front, in round-by-round order, and a
+batch of up to MAX_BATCH rounds then runs from the same incumbent in
+lockstep, one walk per move for all of them (the first deletion, on the
+shared incumbent, is priced once). The first round of the batch that beats
+the incumbent is kept and the rounds after it are dropped; the next batch
+starts at the round after the kept one, with its draws unchanged. A batch
+is one round after an acceptance and doubles after a batch that keeps
+none. Tours, traces and the generator state match a round-by-round search.
+
 All randomness comes from one numpy PCG64 stream seeded once per solve, and
 every candidate list is sorted with deterministic tie-breaks, so results are
 reproducible bit-for-bit for a given seed. With k_grasp=k_del=k_ins=1 the
@@ -57,6 +69,8 @@ from .model import (
 )
 
 RNG_ALGORITHM = "numpy-pcg64"
+# at most this many improvement rounds run from one incumbent in one batch
+MAX_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -105,7 +119,7 @@ def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix) -> np.ndarr
     nodes = np.asarray(nodes, dtype=np.intp)
     slots = paths.shape[1] - 1
     k = np.repeat(clock[:, :-1].T[:, :, None], nodes.shape[1], axis=2)
-    tail = paths[:, 1:].T[:, :, None]
+    tail = paths[:, 1:].T.copy()[:, :, None]  # contiguous: the walk indexes it faster
     steps = chain(
         [np.broadcast_to(nodes, (slots, *nodes.shape))],
         (tail[j:] for j in range(slots)),
@@ -113,20 +127,23 @@ def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix) -> np.ndarr
     return _advance(k, paths[:, :-1].T[:, :, None], steps, matrix) - clock[:, -1, None]
 
 
-def _deletion_savings(path, clock, matrix: MultiLayerMatrix) -> np.ndarray:
-    """Cost saved by deleting each client path[1:-1] of the tour.
+def _deletion_savings(paths, clock, matrix: MultiLayerMatrix) -> np.ndarray:
+    """Cost saved by deleting each client of each trial's tour, as a
+    (clients x trials) grid.
 
-    Lane idx leaves path[idx] at clock[idx] and walks path[idx + 2:] back to
-    the depot.
+    Row t of `paths` and `clock` is the tour state of trial t. Every tour has
+    the same length. Lane (idx, t) leaves paths[t][idx] at clock[t][idx] and
+    walks paths[t][idx + 2:] back to the depot.
     """
-    if len(path) == 3:
-        # the tour left is empty and costs 0; there is no arc to walk
-        return np.array([clock[-1]])
-    k = np.array(clock[:-2], dtype=matrix.times.dtype)
-    cur = np.array(path[:-2], dtype=np.intp)
-    tail = np.array(path[2:], dtype=np.intp)
+    # lane-major copies: the walk indexes contiguous arrays much faster
+    paths = np.asarray(paths, dtype=np.intp).T.copy()
+    clock = np.asarray(clock, dtype=matrix.times.dtype).T.copy()
+    if len(paths) == 3:
+        # each tour left is empty and costs 0; there is no arc to walk
+        return clock[-1:]
+    tail = paths[2:]
     steps = (tail[j:] for j in range(len(tail)))
-    return clock[-1] - _advance(k, cur, steps, matrix)
+    return clock[-1] - _advance(clock[:-2], paths[:-2], steps, matrix)
 
 
 def enumerate_insertions(partial, remaining, deltas) -> np.recarray:
@@ -194,38 +211,79 @@ def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResul
     return _result(paths[best][1:-1], Schedule(tuple(clock[:-1]), clock[-1]), trace, params)
 
 
+def _speculate(path, clock, draws, params: SolverParams, matrix: MultiLayerMatrix):
+    """Run one improvement round per entry of `draws`, all from the tour
+    state (path, clock), in lockstep; return their (paths, clocks) in round
+    order.
+
+    A round's draws are its (deletion picks, reinsertion picks): ranks into
+    the savings of each deletion and the slot deltas of each reinsertion.
+    """
+    paths = [list(path) for _ in draws]
+    clocks = [list(clock) for _ in draws]
+    deleted = [[] for _ in draws]
+    # every round deletes first from the same tour: price that move once
+    tours, times = [path], [clock]
+    for d in range(params.l_delete):
+        savings = _deletion_savings(tours, times, matrix)
+        # per tour, clients by savings descending, ties by node id
+        ranked = np.lexsort(([tour[1:-1] for tour in tours], -savings.T))
+        ranked = np.broadcast_to(ranked, (len(draws), ranked.shape[1]))
+        for r, (p, c, gone, (picks, _)) in enumerate(zip(paths, clocks, deleted, draws)):
+            i = 1 + int(ranked[r, picks[d]])
+            gone.append(p[i])
+            _delete(p, c, i, matrix)
+        tours, times = paths, clocks
+    for e in range(params.l_delete):
+        deltas = _insertion_deltas(paths, clocks, [[gone[e]] for gone in deleted], matrix)
+        # per round, slots by delta, ties by slot
+        ranked = np.argsort(deltas[:, :, 0], axis=0, kind="stable")
+        for r, (p, c, gone, (_, picks)) in enumerate(zip(paths, clocks, deleted, draws)):
+            _insert(p, c, int(ranked[picks[e], r]), gone[e], matrix)
+    return paths, clocks
+
+
 def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
     """Insertion-deletion improvement, n_improve rounds from the best-so-far.
 
     A round that does not beat the incumbent is discarded; the trace records
-    the best cost after each round, so it is non-increasing.
+    the best cost after each round, so it is non-increasing. Rounds run in
+    speculative batches (see the module docstring).
     """
     order = tuple(route.order if isinstance(route, Route) else route)
     if set(order) != set(range(1, matrix.n_nodes)):
         raise InputError("improvement needs a complete route over all clients")
-    if params.l_delete > len(order):
-        raise InputError(
-            f"l_delete={params.l_delete} exceeds the {len(order)} clients in the route"
+    clients, l_delete = len(order), params.l_delete
+    if l_delete > clients:
+        raise InputError(f"l_delete={l_delete} exceeds the {clients} clients in the route")
+    # see the module docstring: scalar draws, in round-by-round order
+    draws = [
+        (
+            [int(rng.integers(0, min(params.k_del, clients - d))) for d in range(l_delete)],
+            [
+                int(rng.integers(0, min(params.k_ins, clients - l_delete + e + 1)))
+                for e in range(l_delete)
+            ],
         )
+        for _ in range(params.n_improve)
+    ]
     schedule = _order_schedule(order, matrix)
     best_path, best_clock = [0, *order, 0], [*schedule.departures, schedule.total_cost]
     trace = []
-    for _ in range(params.n_improve):
-        path, clock = list(best_path), list(best_clock)
-        deleted = []
-        for _ in range(params.l_delete):
-            savings = _deletion_savings(path, clock, matrix)
-            pool = np.lexsort((path[1:-1], -savings))[: params.k_del]
-            i = 1 + int(pool[int(rng.integers(0, len(pool)))])
-            deleted.append(path[i])
-            _delete(path, clock, i, matrix)
-        for node in deleted:
-            deltas = _insertion_deltas([path], [clock], [[node]], matrix)[:, 0, 0]
-            pool = np.argsort(deltas, kind="stable")[: params.k_ins]
-            _insert(path, clock, int(pool[int(rng.integers(0, len(pool)))]), node, matrix)
-        if clock[-1] < best_clock[-1]:
-            best_path, best_clock = path, clock
-        trace.append(best_clock[-1])
+    batch = 1
+    while len(trace) < params.n_improve:
+        rounds = draws[len(trace) : len(trace) + batch]
+        paths, clocks = _speculate(best_path, best_clock, rounds, params, matrix)
+        # the first round that beats the incumbent; the rounds after it are rerun
+        won = next((r for r, clock in enumerate(clocks) if clock[-1] < best_clock[-1]), None)
+        if won is None:
+            trace += [best_clock[-1]] * len(rounds)
+            batch = min(2 * batch, MAX_BATCH)
+        else:
+            trace += [best_clock[-1]] * won
+            best_path, best_clock = paths[won], clocks[won]
+            trace.append(best_clock[-1])
+            batch = 1
     schedule = Schedule(tuple(best_clock[:-1]), best_clock[-1])
     return _result(best_path[1:-1], schedule, trace, params)
 
@@ -287,4 +345,16 @@ def result_from_json(text: str) -> dict:
         raise InputError(
             "result document must be a JSON object with 'route' and 'departures_s' fields"
         )
+    _check_list(doc, "route", (int,), "integer")
+    _check_list(doc, "departures_s", (int, float), "number")
     return doc
+
+
+def _check_list(doc: dict, name: str, types: tuple, kind: str) -> None:
+    """Require doc[name] to be a JSON list of `kind` values (a bool is none)."""
+    value = doc[name]
+    if type(value) is not list:
+        raise InputError(f"result field '{name}' = {json.dumps(value)} is not a JSON list")
+    for i, v in enumerate(value):
+        if type(v) not in types:
+            raise InputError(f"result entry {name}[{i}] = {json.dumps(v)} is not a JSON {kind}")

@@ -14,7 +14,7 @@ so any number of evaluations may share a matrix concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -170,6 +170,12 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{f.name} must be an integer, got {value!r}")
+            # a numpy integer would not serialize in result_to_json
+            object.__setattr__(self, f.name, int(value))
         for name in ("n_grasp", "k_grasp", "l_delete", "k_del", "k_ins"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -233,6 +233,33 @@ def test_file_errors_exit_with_input_error(case, small_setup, tmp_path, capsys):
     assert err.startswith("error: ") and expected in err
 
 
+@pytest.mark.parametrize(
+    "doc, expected",
+    [
+        ({"route": "ab", "departures_s": [0, 1, 2]},
+         """result field 'route' = "ab" is not a JSON list"""),
+        ({"route": ["1", 2.9], "departures_s": [0, 1, 2]},
+         """result entry route[0] = "1" is not a JSON integer"""),
+        ({"route": [1, 2.9], "departures_s": [0, 1, 2]},
+         "result entry route[1] = 2.9 is not a JSON integer"),
+        ({"route": [1, True], "departures_s": [0, 1, 2]},
+         "result entry route[1] = true is not a JSON integer"),
+        ({"route": [1, 2], "departures_s": [0, "60", 90]},
+         """result entry departures_s[1] = "60" is not a JSON number"""),
+        ({"route": [1, 2], "departures_s": None},
+         "result field 'departures_s' = null is not a JSON list"),
+    ],
+)
+def test_export_rejects_mistyped_result_fields(doc, expected, small_setup, tmp_path, capsys):
+    _, inst_path, _, _ = small_setup
+    result_path = tmp_path / "result.json"
+    result_path.write_text(json.dumps(doc))
+    rc = main(["export-geojson", "--result", str(result_path), "--instance", str(inst_path),
+               "--out", str(tmp_path / "tour.geojson")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_matrix_files_round_trip_through_cli(small_setup, tmp_path):
     _, _, matrix, matrix_path = small_setup
     assert matrix_to_json(load_matrix(matrix_path)) == matrix_to_json(matrix)

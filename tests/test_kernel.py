@@ -2,8 +2,8 @@
 
 `model._advance` prices many tours at once, each lane starting from a cached
 departure part-way along a tour. These properties check it, the tour edits
-that keep a clock, and the move pricing, lockstep construction and
-exhaustive search built on them, against
+that keep a clock, and the move pricing, lockstep construction, speculative
+improvement rounds and exhaustive search built on them, against
 `naive_departures` and plain one-at-a-time loops on random tours, start
 slots and matrices: integer and fractional layers, departures far past the
 horizon, empty and one-client tours, values drawn from a narrow range so that
@@ -14,13 +14,22 @@ self-arc).
 from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdvrp.grasp import _delete, _deletion_savings, _insert, _insertion_deltas, run_grasp
+from tdvrp.grasp import (
+    MAX_BATCH,
+    _delete,
+    _deletion_savings,
+    _insert,
+    _insertion_deltas,
+    improve,
+    run_grasp,
+)
 from tdvrp.model import MultiLayerMatrix, SolverParams, _advance, average_matrix
 from tdvrp.oracle import brute_force_optimum
 
-from conftest import constant_matrix, grid_instance, naive_departures
+from conftest import constant_matrix, grid_instance, naive_departures, random_layers
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -133,19 +142,36 @@ def test_edits_keep_the_clock_of_the_path(data):
 @SETTINGS
 @given(data=st.data())
 def test_deletion_savings_match_full_reevaluation(data):
+    # rows of equal-length tours, all priced in one walk
     matrix = data.draw(matrices())
-    order = data.draw(tours(matrix, min_clients=1))
-    base = _naive(order, matrix)[1]
-    expected = [base - _naive(order[:i] + order[i + 1:], matrix)[1] for i in range(len(order))]
-    assert _exact(_deletion_savings(*_state(order, matrix), matrix)) == _exact(expected)
+    clients = list(range(1, matrix.n_nodes))
+    size = data.draw(st.integers(1, len(clients)))
+    orders = [
+        tuple(data.draw(st.permutations(clients))[:size])
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    states = [_state(order, matrix) for order in orders]
+    savings = _deletion_savings([p for p, _ in states], [c for _, c in states], matrix)
+    assert savings.shape == (size, len(orders))
+    for t, order in enumerate(orders):
+        base = _naive(order, matrix)[1]
+        expected = [base - _naive(order[:i] + order[i + 1:], matrix)[1] for i in range(size)]
+        assert _exact(savings[:, t]) == _exact(expected)
 
 
-def test_deleting_the_only_client_leaves_a_free_empty_tour():
-    times = np.full((2, 3, 3), 500)  # a diagonal read would add 500
-    matrix = MultiLayerMatrix(times=times, step_seconds=600)
-    assert _deletion_savings(*_state((2,), matrix), matrix).tolist() == [1000]
-    averaged = average_matrix(matrix)
-    assert _deletion_savings(*_state((2,), averaged), averaged).tolist() == [1000.0]
+@SETTINGS
+@given(data=st.data())
+def test_deleting_the_only_client_leaves_a_free_empty_tour(data):
+    matrix = data.draw(matrices())
+    times = matrix.times.copy()
+    n = matrix.n_nodes
+    times[:, range(n), range(n)] = 10**6  # a self-arc read would add this
+    matrix = MultiLayerMatrix(times=times, step_seconds=matrix.step_seconds)
+    clients = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+    states = [_state((node,), matrix) for node in clients]
+    savings = _deletion_savings([p for p, _ in states], [c for _, c in states], matrix)
+    assert savings.shape == (1, len(clients))
+    assert _exact(savings[0]) == _exact([clock[-1] for _, clock in states])
 
 
 # --- lockstep construction ---------------------------------------------------
@@ -191,6 +217,121 @@ def test_lockstep_construction_matches_trial_by_trial(matrix, k_grasp, n_grasp, 
     assert result.best_route.order == order
     assert _exact(result.cost_trace) == _exact(trace)
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# --- speculative improvement rounds ------------------------------------------
+
+
+def _round_by_round(order, matrix, params, rng):
+    """improve rebuilt one round after another, each pick drawn just before
+    it is made from a plain sort of the moves, every move priced by two
+    reference walks: deletions by (saving descending, node), reinsertions by
+    (delta, slot)."""
+    best, trace = tuple(order), []
+    for _ in range(params.n_improve):
+        tour, deleted = best, []
+        for _ in range(params.l_delete):
+            base = _naive(tour, matrix)[1]
+            moves = sorted(
+                (-(base - _naive(tour[:i] + tour[i + 1:], matrix)[1]), node, i)
+                for i, node in enumerate(tour)
+            )
+            _, node, i = moves[int(rng.integers(0, min(params.k_del, len(moves))))]
+            deleted.append(node)
+            tour = tour[:i] + tour[i + 1:]
+        for node in deleted:
+            base = _naive(tour, matrix)[1]
+            moves = sorted(
+                (_naive(tour[:p] + (node,) + tour[p:], matrix)[1] - base, p)
+                for p in range(len(tour) + 1)
+            )
+            _, p = moves[int(rng.integers(0, min(params.k_ins, len(moves))))]
+            tour = tour[:p] + (node,) + tour[p:]
+        if _naive(tour, matrix)[1] < _naive(best, matrix)[1]:
+            best = tour
+        trace.append(_naive(best, matrix)[1])
+    return best, trace
+
+
+def _acceptances(start_cost, trace):
+    """(round's place in its batch, batch length) of every accepted round,
+    replaying the batch schedule: one round after an acceptance, twice as
+    many after a batch that accepts none, at most MAX_BATCH."""
+    costs = [start_cost, *trace]
+    accepted = [costs[r + 1] < costs[r] for r in range(len(trace))]
+    places, r, batch = [], 0, 1
+    while r < len(trace):
+        rounds = accepted[r : r + batch]
+        if True in rounds:
+            won = rounds.index(True)
+            places.append((won, len(rounds)))
+            r, batch = r + won + 1, 1
+        else:
+            r, batch = r + len(rounds), min(2 * batch, MAX_BATCH)
+    return places
+
+
+def _check_improve(order, matrix, params):
+    rng, reference = np.random.default_rng(params.seed), np.random.default_rng(params.seed)
+    result = improve(order, matrix, params, rng)
+    best, trace = _round_by_round(order, matrix, params, reference)
+    assert result.best_route.order == best
+    assert _exact(result.cost_trace) == _exact(trace)
+    departures, total = _naive(best, matrix)
+    assert _exact(result.best_schedule.departures) == _exact(departures)
+    assert _exact([result.best_schedule.total_cost]) == _exact([total])
+    assert rng.bit_generator.state == reference.bit_generator.state
+    return _acceptances(_naive(order, matrix)[1], trace)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_speculative_improvement_matches_round_by_round(data):
+    matrix = data.draw(matrices(max_nodes=11))
+    clients = matrix.n_nodes - 1
+    params = SolverParams(
+        n_improve=data.draw(st.integers(0, 30)),
+        l_delete=data.draw(st.integers(1, clients)),
+        k_del=data.draw(st.integers(1, 4)),
+        k_ins=data.draw(st.integers(1, 3)),
+        seed=data.draw(st.integers(0, 2**64 - 1)),
+    )
+    _check_improve(data.draw(tours(matrix, min_clients=clients)), matrix, params)
+
+
+def test_speculative_improvement_rejecting_every_round():
+    # every tour of a constant matrix costs the same, so no round is kept
+    matrix = constant_matrix(8, 700, n_layers=2, step_seconds=900)
+    params = SolverParams(n_improve=40, l_delete=4, k_del=3, k_ins=2, seed=5)
+    assert _check_improve((3, 1, 7, 5, 2, 6, 4), matrix, params) == []
+
+
+def _random_start():
+    rng = np.random.default_rng(31)
+    matrix = MultiLayerMatrix(times=random_layers(rng, 10, 3), step_seconds=1800)
+    return tuple(int(v) for v in rng.permutation(range(1, 10))), matrix
+
+
+def test_speculative_improvement_accepting_every_round():
+    order, matrix = _random_start()
+    params = SolverParams(n_improve=8, l_delete=3, k_del=3, k_ins=2, seed=164)
+    assert _check_improve(order, matrix, params) == [(0, 1)] * 8
+
+
+@pytest.mark.parametrize(
+    "seed, place",
+    [(2, "first"), (7, "middle"), (3, "last")],
+)
+def test_speculative_improvement_accepting_within_a_batch(seed, place):
+    order, matrix = _random_start()
+    params = SolverParams(n_improve=40, l_delete=3, k_del=3, k_ins=2, seed=seed)
+    places = _check_improve(order, matrix, params)
+    where = {
+        "first": [won == 0 for won, size in places if size > 1],
+        "middle": [0 < won < size - 1 for won, size in places],
+        "last": [won == size - 1 for won, size in places if size > 1],
+    }
+    assert any(where[place])
 
 
 # --- batched exhaustive search ------------------------------------------------

@@ -10,6 +10,7 @@ from tdvrp.model import (
     MultiLayerMatrix,
     Node,
     Route,
+    SolverParams,
     average_matrix,
     evaluate_route,
     instance_from_json,
@@ -440,3 +441,30 @@ def test_matrix_json_rejects_entries_beyond_64_bits():
     times = [[[0, 5], [2**63, 0]]]
     with pytest.raises(InputError, match=r"times\[0\]\[1\]\[0\] = 9223372036854775808 does not fit"):
         matrix_from_json(_matrix_document(times))
+
+
+# --- solver params ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_grasp", 2.0),
+        ("k_grasp", True),
+        ("n_improve", 2.5),
+        ("l_delete", "3"),
+        ("k_del", None),
+        ("k_ins", np.float64(1)),
+        ("seed", 1.5),
+    ],
+)
+def test_solver_params_reject_values_that_are_not_integers(field, value):
+    with pytest.raises(InputError) as info:
+        SolverParams(**{field: value})
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_solver_params_store_numpy_integers_as_python_ints():
+    params = SolverParams(n_improve=np.int64(4), seed=np.uint64(2**63))
+    assert type(params.n_improve) is int and params.n_improve == 4
+    assert type(params.seed) is int and params.seed == 2**63

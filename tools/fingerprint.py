@@ -1,0 +1,98 @@
+"""Print a bit-exact fingerprint of solver results.
+
+Every case runs `run_grasp` and then `improve` on one seeded generator, as
+`solve` does, and prints the tours, costs, departures and cost traces (each
+number as its Python type and `float.hex`) and the generator state after each
+phase. Two trees whose outputs match byte for byte produce the same results.
+
+Cases: Paris31 on its layered synthetic matrix (seeds 0-3) and on the
+time-averaged one (seeds 0-1), the 100-client improvement-heavy parameters
+(seeds 1-3), and 20 random 1-13-client matrices with random parameters.
+
+    PYTHONPATH=src python3 tools/fingerprint.py > fingerprint.txt
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from tdvrp.grasp import improve, run_grasp
+from tdvrp.instances import bundled_paris, random_instance
+from tdvrp.model import MultiLayerMatrix, SolverParams, average_matrix
+from tdvrp.synth import TrafficProfile, generate_synthetic
+
+
+def _num(v) -> str:
+    return f"{type(v).__name__}:{float(v).hex()}"
+
+
+def _nums(values) -> str:
+    return " ".join(_num(v) for v in values)
+
+
+def _phase(name, result, rng) -> list[str]:
+    return [
+        f"  {name} tour {' '.join(str(int(v)) for v in result.best_route.order)}",
+        f"  {name} cost {_num(result.best_schedule.total_cost)}",
+        f"  {name} departures {_nums(result.best_schedule.departures)}",
+        f"  {name} trace {_nums(result.cost_trace)}",
+        f"  {name} rng {json.dumps(rng.bit_generator.state, sort_keys=True)}",
+    ]
+
+
+def fingerprint(name, matrix: MultiLayerMatrix, params: SolverParams) -> list[str]:
+    rng = np.random.default_rng(params.seed)
+    built = run_grasp(matrix, params, rng)
+    lines = [f"{name} {params}", *_phase("run_grasp", built, rng)]
+    improved = improve(built.best_route, matrix, params, rng)
+    return lines + _phase("improve", improved, rng)
+
+
+def cases():
+    paris = generate_synthetic(
+        bundled_paris(), 6, 7200,
+        TrafficProfile(22.0, ((0, 1, 2.5), (3, 6, 1.9)), (0.9, 1.2), seed=7),
+    )
+    for seed in range(4):
+        yield f"paris31-layered-{seed}", paris, SolverParams(seed=seed)
+    averaged = average_matrix(paris)
+    for seed in range(2):
+        yield f"paris31-averaged-{seed}", averaged, SolverParams(seed=seed)
+
+    for seed in (1, 2, 3):
+        instance = random_instance(100, seed=seed)
+        profile = TrafficProfile(25.0, ((0, 2, 1.6), (5, 8, 1.4)), (0.9, 1.2), seed=seed)
+        params = SolverParams(
+            n_grasp=1, k_grasp=3, n_improve=80, l_delete=10, k_del=3, k_ins=1, seed=seed)
+        yield f"n100-improve-{seed}", generate_synthetic(instance, 8, 4800, profile), params
+
+    draw = np.random.default_rng(2024)
+    for case in range(20):
+        clients = 1 + case % 13
+        n = clients + 1
+        high, layers = int(draw.choice([4, 2000])), int(draw.integers(1, 5))
+        times = draw.integers(0, high, size=(layers, n, n))
+        if draw.random() < 0.5:
+            times = times / 3.0
+        matrix = MultiLayerMatrix(times=times, step_seconds=int(draw.choice([1, 7, 150, 900, 3600])))
+        params = SolverParams(
+            n_grasp=int(draw.integers(1, 5)),
+            k_grasp=int(draw.integers(1, 5)),
+            n_improve=int(draw.integers(0, 31)),
+            l_delete=int(draw.integers(1, clients + 1)),
+            k_del=int(draw.integers(1, 5)),
+            k_ins=int(draw.integers(1, 4)),
+            seed=int(draw.integers(0, 2**63)),
+        )
+        yield f"random-{case}", matrix, params
+
+
+def main() -> None:
+    for name, matrix, params in cases():
+        print("\n".join(fingerprint(name, matrix, params)))
+
+
+if __name__ == "__main__":
+    main()
