@@ -133,9 +133,9 @@ def cmd_fetch(args) -> int:
         if args.backend == "recorded":
             if not args.recorded:
                 raise InputError("--recorded FILE is required with --backend recorded")
-            client = fetch_mod.RecordedBackend.from_jsonl(instance, args.recorded)
+            client = fetch_mod.RecordedBackend(instance, fetch_mod.read_cache_file(args.recorded))
         else:
-            client = fetch_mod.LiveBackend(api_key=args.api_key)
+            client = fetch_mod.LiveBackend(instance, api_key=args.api_key)
         budget = fetch_mod.QuotaBudget(daily_quota=args.daily_quota)
     matrix = fetch_mod.execute_fetch(plan, client, instance, cache_path=args.cache, budget=budget)
     if budget is not None:

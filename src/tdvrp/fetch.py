@@ -10,12 +10,19 @@ up to MAX_ATTEMPTS times, sleeping RETRY_BASE_DELAY seconds, then twice as
 long before each further try; a quota signal, the provider's or the local
 budget's, suspends the plan at the request it refused.
 
+Provider data is keyed by node index from plan to store. A backend's
+query(origins, destinations, departure_time) takes two sequences of node
+indices and answers with (values, answered): an int64 array and a bool array,
+both of shape (len(origins), len(destinations)); a cell that is not answered
+is a hole. LiveBackend turns the indices into the instance's coordinates on
+the wire; RecordedBackend reads its answer as one tile of its store.
+
 Elements are held in a dense store keyed by index: per departure epoch, an
 (n, n) int64 value layer and a boolean "known" mask. The cache file keeps its
-JSON-lines format (one {"o", "d", "t", "s"} record per line); it is read in
-one parse into (o, d, t, s) rows and scattered into the store, a request is
-skipped when its tile is all known, and the matrix and the list of holes come
-straight from the arrays. RecordedBackend replays rows the same way.
+JSON-lines format (one {"o", "d", "t", "s"} record of four JSON integers per
+line); it is read in one parse into (o, d, t, s) rows and scattered into the
+store, a request is skipped when its tile is all known, and the matrix and
+the list of holes come straight from the arrays.
 
 Quota arithmetic counts full N*N rectangles per layer (the provider bills the
 whole cross product, self-pairs included); the useful element count skips
@@ -53,6 +60,7 @@ API_KEY_ENV_VAR = "GOOGLE_MAPS_API_KEY"
 REQUEST_TIMEOUT_SECONDS = 30.0
 MAX_ATTEMPTS = 5
 RETRY_BASE_DELAY = 0.5  # seconds
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -194,72 +202,51 @@ def _dense_layers(rows: np.ndarray, n: int, epochs: np.ndarray):
 
 
 class RecordedBackend:
-    """Replays captured travel times; unknown pairs come back as holes (None).
+    """Replays captured travel times; a pair that was not recorded is a hole.
 
     rows are (origin_index, destination_index, departure_epoch, seconds), as
-    read_cache_file returns them; indices refer to the instance's nodes. They
-    are held per recorded epoch in dense layers, and a query reads one tile.
-    A query coordinate must be one of the instance's own.
+    read_cache_file returns them. They are held per recorded epoch in dense
+    layers, and a query answers with one tile of the values and of the mask.
     """
 
     def __init__(self, instance: Instance, rows):
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
         epochs = np.unique(rows[:, 2])
-        self._store(instance, epochs, *_dense_layers(rows, instance.n_nodes, epochs))
-
-    def _store(self, instance, epochs, values, known):
         self._layer_of = {t: k for k, t in enumerate(epochs.tolist())}
-        self._node_of = {coord: i for i, coord in enumerate(instance.coordinates())}
-        self._values = values
-        self._known = known
+        self._values, self._known = _dense_layers(rows, instance.n_nodes, epochs)
 
     @classmethod
     def from_matrix(cls, instance: Instance, matrix: MultiLayerMatrix, start_epoch: int):
-        n = matrix.n_nodes
-        if instance.n_nodes != n:
-            raise InputError(f"matrix covers {n} nodes but instance has {instance.n_nodes}")
-        values = matrix.times.astype(np.int64)
-        values[:, np.arange(n), np.arange(n)] = 0
-        epochs = int(start_epoch) + matrix.step_seconds * np.arange(matrix.n_layers, dtype=np.int64)
-        backend = cls.__new__(cls)
-        backend._store(instance, epochs, values, np.ones(values.shape, dtype=bool))
-        return backend
-
-    @classmethod
-    def from_jsonl(cls, instance: Instance, path):
-        return cls(instance, read_cache_file(path))
+        if instance.n_nodes != matrix.n_nodes:
+            raise InputError(
+                f"matrix covers {matrix.n_nodes} nodes but instance has {instance.n_nodes}"
+            )
+        layer, o, d = np.indices(matrix.times.shape).reshape(3, -1)
+        t = int(start_epoch) + matrix.step_seconds * layer
+        return cls(instance, np.column_stack([o, d, t, matrix.times.reshape(-1)]))
 
     def query(self, origins, destinations, departure_time):
-        try:
-            rows = [self._node_of[tuple(c)] for c in origins]
-            cols = [self._node_of[tuple(c)] for c in destinations]
-        except KeyError as exc:
-            raise PermanentBackendError(f"coordinate {exc} is not in the recording") from None
+        tile = np.array(origins)[:, None], np.array(destinations)
         layer = self._layer_of.get(int(departure_time))
         if layer is None:
-            return [[0 if o == d else None for d in cols] for o in rows]
-        tile = np.array(rows)[:, None], np.array(cols)
-        grid = self._values[layer][tile].tolist()
-        known = self._known[layer][tile]
-        if not known.all():
-            for row, mask in zip(grid, known.tolist()):
-                for j, ok in enumerate(mask):
-                    if not ok:
-                        row[j] = None
-        return grid
+            answered = tile[0] == tile[1]
+            return np.zeros(answered.shape, dtype=np.int64), answered
+        return self._values[layer][tile], self._known[layer][tile]
 
 
 class LiveBackend:
     """HTTP client for a Google-style Distance Matrix endpoint.
 
-    The API key comes from the GOOGLE_MAPS_API_KEY environment variable (or
-    the api_key argument) and is sent only as a query parameter, never stored
-    in any output file.
+    A query's node indices are sent as the instance's coordinates. The API
+    key comes from the GOOGLE_MAPS_API_KEY environment variable (or the
+    api_key argument) and is sent only as a query parameter, never stored in
+    any output file. A response that is not the JSON the provider documents
+    is a PermanentBackendError.
     """
 
     URL = "https://maps.googleapis.com/maps/api/distancematrix/json"
 
-    def __init__(self, api_key: str | None = None, session=None):
+    def __init__(self, instance: Instance, api_key: str | None = None, session=None):
         self._key = api_key or os.environ.get(API_KEY_ENV_VAR)
         if not self._key:
             raise InputError(
@@ -270,11 +257,12 @@ class LiveBackend:
 
             session = requests.Session()
         self._session = session
+        self._places = [f"{lat:.6f},{lon:.6f}" for lat, lon in instance.coordinates()]
 
     def query(self, origins, destinations, departure_time):
         params = {
-            "origins": "|".join(f"{lat:.6f},{lon:.6f}" for lat, lon in origins),
-            "destinations": "|".join(f"{lat:.6f},{lon:.6f}" for lat, lon in destinations),
+            "origins": "|".join(self._places[o] for o in origins),
+            "destinations": "|".join(self._places[d] for d in destinations),
             "departure_time": str(int(departure_time)),
             "mode": "driving",
             "traffic_model": "best_guess",
@@ -290,23 +278,46 @@ class LiveBackend:
             raise TransientBackendError(f"server error HTTP {resp.status_code}")
         if resp.status_code != 200:
             raise PermanentBackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        doc = resp.json()
-        status = doc.get("status")
+        try:
+            doc = resp.json()
+        except ValueError as exc:
+            raise PermanentBackendError(f"response is not JSON: {exc}") from exc
+        status = doc.get("status") if isinstance(doc, dict) else None
         if status in ("OVER_QUERY_LIMIT", "OVER_DAILY_LIMIT"):
             raise QuotaExhaustedError(f"provider signalled {status}")
         if status != "OK":
             raise PermanentBackendError(f"provider status {status}")
-        grid = []
-        for row in doc.get("rows", []):
-            out = []
-            for element in row.get("elements", []):
-                if element.get("status") != "OK":
-                    out.append(None)
-                    continue
-                duration = element.get("duration_in_traffic") or element.get("duration")
-                out.append(int(duration["value"]) if duration else None)
-            grid.append(out)
-        return grid
+        return _provider_grid(doc.get("rows"), len(origins), len(destinations))
+
+
+def _provider_grid(rows, n_rows: int, n_cols: int):
+    """A provider's rows as (values, answered) arrays; an element whose
+    status is not OK, or that carries no duration, is a hole."""
+    if type(rows) is not list or len(rows) != n_rows:
+        raise PermanentBackendError(f"response does not hold {n_rows} rows")
+    values = np.zeros((n_rows, n_cols), dtype=np.int64)
+    answered = np.zeros(values.shape, dtype=bool)
+    for i, row in enumerate(rows):
+        elements = row.get("elements") if isinstance(row, dict) else None
+        if type(elements) is not list or len(elements) != n_cols:
+            raise PermanentBackendError(f"response row {i} does not hold {n_cols} elements")
+        for j, element in enumerate(elements):
+            if not isinstance(element, dict):
+                raise PermanentBackendError(f"response element ({i}, {j}) is not an object")
+            if element.get("status") != "OK":
+                continue
+            duration = element.get("duration_in_traffic") or element.get("duration")
+            if not duration:
+                continue
+            seconds = duration.get("value") if isinstance(duration, dict) else None
+            if type(seconds) is not int or not _INT64.min <= seconds <= _INT64.max:
+                raise PermanentBackendError(
+                    f"response element ({i}, {j}) has duration {json.dumps(duration)}, "
+                    "whose value is not a 64-bit JSON integer"
+                )
+            values[i, j] = seconds
+            answered[i, j] = True
+    return values, answered
 
 
 # --- cache -------------------------------------------------------------------
@@ -316,8 +327,8 @@ class LiveBackend:
 # Every record ends with a newline, so an unterminated last line is a write
 # cut short by a crash: readers skip it and the next fetch cuts it off.
 
-_RECORD_FIELDS = operator.itemgetter("o", "d", "t", "s")
-_INT64 = np.iinfo(np.int64)
+_RECORD_FIELDS = {key: operator.itemgetter(key) for key in "odts"}
+_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _not_an_int(token):
@@ -327,9 +338,10 @@ def _not_an_int(token):
 def read_cache_file(path) -> np.ndarray:
     """Cache records as an (m, 4) int64 array of (o, d, t, s) rows, in file order.
 
-    All whole lines are parsed by one json.loads of the joined lines. A file
-    that parse does not take as one record of four integers per line is read
-    again line by line, which names the first bad line.
+    Each whole line that is not blank must hold one record of four JSON
+    integers. All of them are parsed by one json.loads of the joined lines;
+    when that fails, the same parse is run line by line to name the first
+    bad line.
     """
     if path is None or not os.path.exists(path):
         return np.empty((0, 4), dtype=np.int64)
@@ -337,36 +349,29 @@ def read_cache_file(path) -> np.ndarray:
         lines = fh.read().split("\n")[:-1]  # the last piece is "" or a torn record
     try:
         return _parse_lines(lines)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return _parse_each_line(lines, path)
+    except _BAD_RECORD:
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                _parse_lines([line])
+            except _BAD_RECORD as exc:
+                raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
+        raise  # not reached: lines that each parse alone also parse joined
 
 
 def _parse_lines(lines) -> np.ndarray:
-    whole = list(filter(None, lines))
+    whole = list(filter(str.strip, lines))
     records = json.loads(
         "[" + ",".join(whole) + "]", parse_float=_not_an_int, parse_constant=_not_an_int
     )
     if len(records) != len(whole):
         raise ValueError("a line holds other than one record")
-    flat = itertools.chain.from_iterable(map(_RECORD_FIELDS, records))
-    return np.fromiter(flat, dtype=np.int64, count=4 * len(records)).reshape(-1, 4)
-
-
-def _parse_each_line(lines, path) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            row = (int(rec["o"]), int(rec["d"]), int(rec["t"]), int(rec["s"]))
-            if not all(_INT64.min <= v <= _INT64.max for v in row):
-                raise ValueError("value outside the 64-bit integer range")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+    for key, field in _RECORD_FIELDS.items():
+        # true, "1" or null: json.loads has no hook to refuse these
+        if set(map(type, map(field, records))) - {int}:
+            raise ValueError(f'"{key}" is not a JSON integer')
+    # filled a field at a time, so the rows are a view of (4, m) columns
+    flat = itertools.chain.from_iterable(map(field, records) for field in _RECORD_FIELDS.values())
+    return np.fromiter(flat, dtype=np.int64, count=4 * len(records)).reshape(4, -1).T
 
 
 def _cut_torn_record(path) -> None:
@@ -406,7 +411,6 @@ def execute_fetch(
     n = plan.n_nodes
     if instance.n_nodes != n:
         raise InputError(f"plan covers {n} nodes but instance has {instance.n_nodes}")
-    coords = instance.coordinates()
     epochs = plan.start_epoch + plan.step_seconds * np.arange(plan.n_layers, dtype=np.int64)
     values, known = _dense_layers(read_cache_file(cache_path), n, epochs)
     if cache_path is not None and os.path.exists(cache_path):
@@ -422,10 +426,10 @@ def execute_fetch(
             try:
                 if budget is not None:
                     budget.charge(req.billed_elements)
-                grid = _query_with_retry(client, req, coords, sleep)
+                got, answered = _query_with_retry(client, req, sleep)
             except QuotaExhaustedError:
                 raise PlanSuspendedError(index, len(plan.requests), cache_path)
-            got, answered = _answers(grid, rows != cols)  # holes are reported at assembly
+            answered = answered & (rows != cols)  # holes are reported at assembly
             layer_values = values[req.layer]
             layer_values[tile] = np.where(answered, got, layer_values[tile])
             known[req.layer][tile] |= answered
@@ -446,34 +450,24 @@ def execute_fetch(
     return MultiLayerMatrix(times=values, step_seconds=plan.step_seconds)
 
 
-def _answers(grid, distinct: np.ndarray):
-    """A query grid as (values, answered) arrays. None is a hole, and only
-    the `distinct` (not self-pair) cells can be answers."""
-    try:
-        return np.array(grid, dtype=np.int64), distinct
-    except (TypeError, ValueError, OverflowError):  # holes, or a self-pair odd value
-        cells = np.array(grid, dtype=object)
-        answered = distinct & np.not_equal(cells, None)
-        return np.where(answered, cells, 0).astype(np.int64), answered
-
-
-def _query_with_retry(client, req, coords, sleep):
-    origins = [coords[o] for o in req.origin_indices]
-    destinations = [coords[d] for d in req.destination_indices]
+def _query_with_retry(client, req, sleep):
+    shape = (len(req.origin_indices), len(req.destination_indices))
     last_error = None
     for attempt in range(MAX_ATTEMPTS):
         if attempt > 0:
             sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
         try:
-            grid = client.query(origins, destinations, req.departure_time)
+            values, answered = client.query(
+                req.origin_indices, req.destination_indices, req.departure_time
+            )
         except TransientBackendError as exc:
             last_error = exc
             continue
         except PermanentBackendError as exc:
             raise PermanentBackendError(f"{_describe(req)} failed: {exc}") from exc
-        if len(grid) != len(origins) or any(len(row) != len(destinations) for row in grid):
+        if np.shape(values) != shape or np.shape(answered) != shape:
             raise PermanentBackendError(f"{_describe(req)} returned a malformed grid")
-        return grid
+        return values, answered
     raise PermanentBackendError(
         f"{_describe(req)} failed after {MAX_ATTEMPTS} attempts: {last_error}"
     )

@@ -66,6 +66,7 @@ from .model import (
     _advance,
     _arrivals,
     _order_schedule,
+    _parse_json,
 )
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -335,13 +336,8 @@ def result_to_json(result: SolveResult) -> str:
 
 def result_from_json(text: str) -> dict:
     """Parse a result file back into a plain dict (route, departures, costs)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"result is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from exc
-    if not isinstance(doc, dict) or not {"route", "departures_s"} <= doc.keys():
+    doc = _parse_json(text, "result")
+    if not {"route", "departures_s"} <= doc.keys():
         raise InputError(
             "result document must be a JSON object with 'route' and 'departures_s' fields"
         )

@@ -511,13 +511,19 @@ def _read_text(path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _not_a_json_number(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def _parse_json(text: str, what: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_not_a_json_number)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{what} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # NaN or Infinity, or an integer too long to convert
+        raise InputError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{what} document must be a JSON object")
     return doc

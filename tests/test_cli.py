@@ -260,6 +260,18 @@ def test_export_rejects_mistyped_result_fields(doc, expected, small_setup, tmp_p
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_export_rejects_result_numbers_json_lacks(constant, small_setup, tmp_path, capsys):
+    _, inst_path, _, _ = small_setup
+    result_path = tmp_path / "result.json"
+    result_path.write_text('{"route": [1], "departures_s": [0, %s]}' % constant)
+    rc = main(["export-geojson", "--result", str(result_path), "--instance", str(inst_path),
+               "--out", str(tmp_path / "tour.geojson")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: result is not valid JSON: {constant} is not a JSON number\n"
+
+
 def test_matrix_files_round_trip_through_cli(small_setup, tmp_path):
     _, _, matrix, matrix_path = small_setup
     assert matrix_to_json(load_matrix(matrix_path)) == matrix_to_json(matrix)

@@ -25,7 +25,8 @@ from tdvrp.fetch import (
     plan_fetch,
     read_cache_file,
 )
-from tdvrp.model import matrix_to_json
+from tdvrp.cli import main
+from tdvrp.model import matrix_to_json, save_instance
 from tdvrp.synth import TrafficProfile, generate_synthetic
 
 from conftest import grid_instance, make_matrix, random_layers
@@ -259,6 +260,21 @@ def test_permanent_failure_names_the_request():
     assert sleeps == []  # a permanent failure is not retried
 
 
+def test_misshapen_answer_is_a_permanent_failure():
+    inst = grid_instance(3)
+    backend, _ = _constant_backend(inst, 1, 3600)
+
+    class Transposing:
+        def query(self, origins, destinations, departure_time):
+            values, answered = backend.query(origins, destinations, departure_time)
+            return values.T, answered.T
+
+    # 2 x 3 tiles, answered as 3 x 2
+    plan = plan_fetch(3, 1, step_seconds=3600, start_epoch=START, elements_per_request_limit=6)
+    with pytest.raises(PermanentBackendError, match="layer=0 .* returned a malformed grid"):
+        execute_fetch(plan, Transposing(), inst)
+
+
 def test_quota_budget_suspends_with_resumable_progress(tmp_path):
     inst = grid_instance(6)
     backend, _ = _constant_backend(inst, 2, 3600)
@@ -321,6 +337,8 @@ class FakeResponse:
         self.text = str(payload)
 
     def json(self):
+        if isinstance(self.payload, str):
+            return json.loads(self.payload)  # a body as the provider sent it
         return self.payload
 
 
@@ -347,30 +365,85 @@ def test_live_backend_request_shape_and_parsing():
         ],
     }
     session = FakeSession(payload)
-    backend = LiveBackend(api_key="test-key", session=session)
-    grid = backend.query([(48.85, 2.35)], [(48.86, 2.36), (48.87, 2.37)], START)
-    assert grid == [[321, None]]
+    backend = LiveBackend(grid_instance(3), api_key="test-key", session=session)
+    values, answered = backend.query((0,), (1, 2), START)
+    assert values.dtype == np.int64 and answered.dtype == bool
+    assert values[0, 0] == 321 and answered.tolist() == [[True, False]]
     url, params = session.last
     assert params["mode"] == "driving"
     assert params["traffic_model"] == "best_guess"
     assert params["departure_time"] == str(START)
-    assert params["origins"] == "48.850000,2.350000"
-    assert "|" in params["destinations"]
+    assert params["origins"] == "48.800000,2.300000"
+    assert params["destinations"] == "48.800000,2.320000|48.820000,2.300000"
 
 
 def test_live_backend_maps_provider_statuses():
-    backend = LiveBackend(api_key="k", session=FakeSession({"status": "OVER_QUERY_LIMIT"}))
+    inst = grid_instance(2)
+    backend = LiveBackend(inst, api_key="k", session=FakeSession({"status": "OVER_QUERY_LIMIT"}))
     with pytest.raises(Exception, match="OVER_QUERY_LIMIT"):
-        backend.query([(0, 0)], [(1, 1)], START)
-    backend = LiveBackend(api_key="k", session=FakeSession({"status": "REQUEST_DENIED"}))
+        backend.query((0,), (1,), START)
+    backend = LiveBackend(inst, api_key="k", session=FakeSession({"status": "REQUEST_DENIED"}))
     with pytest.raises(PermanentBackendError):
-        backend.query([(0, 0)], [(1, 1)], START)
+        backend.query((0,), (1,), START)
+
+
+def _ok_rows(*elements_per_row):
+    return {"status": "OK", "rows": [{"elements": list(row)} for row in elements_per_row]}
+
+
+def _seconds(value):
+    return {"status": "OK", "duration": {"value": value}}
+
+
+@pytest.mark.parametrize(
+    "payload, expected",
+    [
+        ("<html>busy</html>", "response is not JSON"),
+        ('{"status": "OK", "rows": [', "response is not JSON"),
+        (["OK"], "provider status None"),
+        (_ok_rows([_seconds("12a")]), r'duration \{"value": "12a"\}'),
+        (_ok_rows([_seconds(True)]), r'duration \{"value": true\}'),
+        (_ok_rows([_seconds(1.5)]), r'duration \{"value": 1.5\}'),
+        (_ok_rows([_seconds(2**63)]), "not a 64-bit JSON integer"),
+        (_ok_rows([{"status": "OK", "duration": 60}]), "duration 60"),
+        (_ok_rows(), "does not hold 1 rows"),
+        (_ok_rows([_seconds(1)], [_seconds(2)]), "does not hold 1 rows"),
+        (_ok_rows([_seconds(1), _seconds(2)]), "row 0 does not hold 1 elements"),
+        ({"status": "OK", "rows": ["elements"]}, "row 0 does not hold 1 elements"),
+        (_ok_rows(["OK"]), r"element \(0, 0\) is not an object"),
+    ],
+)
+def test_live_backend_rejects_malformed_responses(payload, expected):
+    backend = LiveBackend(grid_instance(2), api_key="k", session=FakeSession(payload))
+    with pytest.raises(PermanentBackendError, match=expected):
+        backend.query((0,), (1,), START)
+
+
+@pytest.mark.parametrize(
+    "payload, expected",
+    [
+        ("<html>busy</html>", "response is not JSON"),
+        (_ok_rows([_seconds(0), _seconds("12a")], [_seconds(60), _seconds(0)]),
+         'element (0, 1) has duration {"value": "12a"}'),
+    ],
+)
+def test_malformed_live_response_exits_as_a_backend_error(
+    payload, expected, tmp_path, monkeypatch, capsys
+):
+    inst_path = tmp_path / "inst.json"
+    save_instance(grid_instance(2), inst_path)
+    monkeypatch.setenv("GOOGLE_MAPS_API_KEY", "k")
+    monkeypatch.setattr("requests.Session", lambda: FakeSession(payload))
+    rc = main(["fetch", "--instance", str(inst_path), "--backend", "live", "--layers", "1",
+               "--start-epoch", str(START), "--out", str(tmp_path / "m.json")])
+    assert rc == 3
+    assert expected in capsys.readouterr().err
 
 
 def test_live_backend_requires_a_key(monkeypatch):
     monkeypatch.delenv("GOOGLE_MAPS_API_KEY", raising=False)
     with pytest.raises(InputError):
-        LiveBackend()
+        LiveBackend(grid_instance(2))
 
 
 def test_importing_the_cli_does_not_load_requests():

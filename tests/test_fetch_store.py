@@ -39,22 +39,19 @@ def reference_rows(text):
 class DictBackend:
     """Recorded replay keyed on (o, d, t) in a dict; later rows win."""
 
-    def __init__(self, instance, rows):
-        self.coords = instance.coordinates()
-        n = len(self.coords)
-        self.values = {
-            (o, d, t): s for o, d, t, s in rows if 0 <= o < n and 0 <= d < n
-        }
+    def __init__(self, rows):
+        self.values = {(o, d, t): s for o, d, t, s in rows}
         self.calls = 0
 
     def query(self, origins, destinations, departure_time):
         self.calls += 1
-        rows = [self.coords.index(c) for c in origins]
-        cols = [self.coords.index(c) for c in destinations]
-        return [
-            [0 if o == d else self.values.get((o, d, departure_time)) for d in cols]
-            for o in rows
+        grid = [
+            [0 if o == d else self.values.get((o, d, departure_time)) for d in destinations]
+            for o in origins
         ]
+        answered = [[value is not None for value in row] for row in grid]
+        values = [[value or 0 for value in row] for row in grid]
+        return np.array(values, dtype=np.int64), np.array(answered, dtype=bool)
 
 
 def reference_fetch(plan, backend, cache_text):
@@ -63,7 +60,6 @@ def reference_fetch(plan, backend, cache_text):
     for o, d, t, s in reference_rows(cache_text):
         cache[(o, d, t)] = s
     text = cache_text[: cache_text.rfind("\n") + 1]
-    coords = backend.coords
     for req in plan.requests:
         t = req.departure_time
         if all(
@@ -72,16 +68,12 @@ def reference_fetch(plan, backend, cache_text):
             for d in req.destination_indices
         ):
             continue
-        grid = backend.query(
-            [coords[o] for o in req.origin_indices],
-            [coords[d] for d in req.destination_indices],
-            t,
-        )
-        for o, row in zip(req.origin_indices, grid):
-            for d, value in zip(req.destination_indices, row):
-                if o != d and value is not None:
-                    cache[(o, d, t)] = value
-                    text += _line(o, d, t, value)
+        values, answered = backend.query(req.origin_indices, req.destination_indices, t)
+        for i, o in enumerate(req.origin_indices):
+            for j, d in enumerate(req.destination_indices):
+                if o != d and answered[i][j]:
+                    cache[(o, d, t)] = int(values[i][j])
+                    text += _line(o, d, t, int(values[i][j]))
     n = plan.n_nodes
     times = np.zeros((plan.n_layers, n, n), dtype=np.int64)
     holes = []
@@ -173,15 +165,16 @@ def test_recorded_backend_matches_dict_replay(data):
     inst = grid_instance(n)
     rows = data.draw(element_rows(n, 2))
     backend = RecordedBackend(inst, rows)
-    reference = DictBackend(inst, rows)
-    coords = inst.coordinates()
+    reference = DictBackend(rows)
     for _ in range(3):
-        origins = data.draw(st.lists(st.sampled_from(coords), min_size=1, max_size=n))
-        destinations = data.draw(st.lists(st.sampled_from(coords), min_size=1, max_size=n))
+        origins = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+        destinations = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
         t = data.draw(st.sampled_from([START, START + STEP, START + 1]))
-        assert backend.query(origins, destinations, t) == reference.query(
-            origins, destinations, t
-        )
+        values, answered = backend.query(origins, destinations, t)
+        want_values, want_answered = reference.query(origins, destinations, t)
+        assert values.dtype == np.int64 and answered.dtype == bool
+        assert answered.tolist() == want_answered.tolist()
+        assert np.where(answered, values, 0).tolist() == want_values.tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -194,7 +187,7 @@ def test_execute_fetch_matches_dict_fetch(tmp_path_factory, case):
     )
     path = tmp_path_factory.mktemp("fetch") / "cache.jsonl"
     path.write_text(cache_text, encoding="utf-8")
-    reference = DictBackend(inst, recorded)
+    reference = DictBackend(recorded)
     want_times, want_holes, want_text = reference_fetch(plan, reference, cache_text)
 
     try:
@@ -209,7 +202,7 @@ def test_execute_fetch_matches_dict_fetch(tmp_path_factory, case):
 
     # the same fetch through the dict backend sends the same queries
     path.write_text(cache_text, encoding="utf-8")
-    backend = DictBackend(inst, recorded)
+    backend = DictBackend(recorded)
     try:
         execute_fetch(plan, backend, inst, cache_path=path)
     except IncompleteMatrixError:
@@ -235,3 +228,9 @@ def test_corrupt_middle_line_names_its_line_number(tmp_path):
     path.write_text("".join(lines[:3] + [two_records] + lines[4:]))
     with pytest.raises(InputError, match="bad cache line 4"):
         read_cache_file(path)
+    # values that are not JSON integers are rejected, never coerced
+    for record in ('{"o": 1, "d": 2, "t": 5, "s": true}', '{"o": 1.5, "d": 2, "t": 5, "s": 9}',
+                   '{"o": "1", "d": 2, "t": 5, "s": 9}', '{"o": 1, "d": 2, "t": 5, "s": 7.0}'):
+        path.write_text("".join(lines[:3] + [record + "\n"] + lines[4:]))
+        with pytest.raises(InputError, match="bad cache line 4"):
+            read_cache_file(path)
