@@ -20,6 +20,8 @@ from .grasp import result_from_json, result_to_json, solve
 from .instances import bundled_paris, random_instance
 from .model import (
     SolverParams,
+    _read_text,
+    _write_text,
     load_instance,
     load_matrix,
     save_instance,
@@ -152,9 +154,7 @@ def cmd_solve(args) -> int:
     matrix = load_matrix(args.matrix)
     result = solve(instance, matrix, _params_from(args))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result_to_json(result))
-            fh.write("\n")
+        _write_text(args.out, result_to_json(result) + "\n")
     sched = result.best_schedule
     print(f"tour: 0 -> {' -> '.join(str(v) for v in result.best_route.order)} -> 0")
     print(f"total driving time: {format_hm(sched.total_cost)} ({int(sched.total_cost)} s)")
@@ -175,8 +175,7 @@ def cmd_compare(args) -> int:
     matrix = load_matrix(args.matrix)
     report = run_compare(instance, matrix, _params_from(args), args.seeds)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report_csv(report))
+        _write_text(args.out, report_csv(report))
         print(f"wrote per-seed rows to {args.out}")
     print(report_table(report))
     return EXIT_OK
@@ -184,12 +183,9 @@ def cmd_compare(args) -> int:
 
 def cmd_export_geojson(args) -> int:
     instance = load_instance(args.instance)
-    with open(args.result, "r", encoding="utf-8") as fh:
-        doc = result_from_json(fh.read())
+    doc = result_from_json(_read_text(args.result))
     geo = route_geojson(doc["route"], doc["departures_s"], instance)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(geo, fh)
-        fh.write("\n")
+    _write_text(args.out, json.dumps(geo) + "\n")
     print(f"wrote {len(geo['features'])} features to {args.out}")
     return EXIT_OK
 

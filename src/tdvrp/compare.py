@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, replace
 
+from .errors import InputError
 from .grasp import solve
 from .model import Instance, MultiLayerMatrix, SolverParams, average_matrix, evaluate_route
 
@@ -46,6 +47,8 @@ def run_compare(
     instance: Instance, matrix: MultiLayerMatrix, params: SolverParams, n_seeds: int
 ) -> CompareReport:
     """One CompareRow per seed params.seed, params.seed+1, ..."""
+    if n_seeds < 1:
+        raise InputError(f"need at least one seed, got {n_seeds}")
     averaged = average_matrix(matrix)
     rows = []
     for offset in range(n_seeds):

@@ -20,9 +20,9 @@ the wire; RecordedBackend reads its answer as one tile of its store.
 Elements are held in a dense store keyed by index: per departure epoch, an
 (n, n) int64 value layer and a boolean "known" mask. The cache file keeps its
 JSON-lines format (one {"o", "d", "t", "s"} record of four JSON integers per
-line); it is read in one parse into (o, d, t, s) rows and scattered into the
-store, a request is skipped when its tile is all known, and the matrix and
-the list of holes come straight from the arrays.
+line); it is parsed a few thousand lines at a time into (o, d, t, s) rows
+and scattered into the store, a request is skipped when its tile is all
+known, and the matrix and the list of holes come straight from the arrays.
 
 Quota arithmetic counts full N*N rectangles per layer (the provider bills the
 whole cross product, self-pairs included); the useful element count skips
@@ -50,7 +50,7 @@ from .errors import (
     QuotaExhaustedError,
     TransientBackendError,
 )
-from .model import Instance, MultiLayerMatrix
+from .model import Instance, MultiLayerMatrix, _read_text
 
 DEFAULT_ELEMENTS_PER_REQUEST = 100
 FREE_DAILY_QUOTA = 2_500
@@ -143,20 +143,16 @@ def plan_fetch(
         start_epoch = int(time.time()) + QUERY_LEAD_SECONDS
 
     limit = min(elements_per_request_limit, daily_quota)
+    # whole rows while a row fits under the cap, else one row cut into pieces
+    rows, cols = max(1, limit // n_nodes), min(n_nodes, limit)
     all_nodes = tuple(range(n_nodes))
     reqs = []
     for layer in range(n_layers):
         departure = int(start_epoch) + layer * step_seconds
-        if n_nodes <= limit:
-            rows_per_request = limit // n_nodes
-            for r0 in range(0, n_nodes, rows_per_request):
-                origins = all_nodes[r0 : r0 + rows_per_request]
-                reqs.append(FetchRequest(layer, origins, all_nodes, departure))
-        else:
-            for origin in all_nodes:
-                for c0 in range(0, n_nodes, limit):
-                    dests = all_nodes[c0 : c0 + limit]
-                    reqs.append(FetchRequest(layer, (origin,), dests, departure))
+        for r0 in range(0, n_nodes, rows):
+            for c0 in range(0, n_nodes, cols):
+                tile = all_nodes[r0 : r0 + rows], all_nodes[c0 : c0 + cols]
+                reqs.append(FetchRequest(layer, *tile, departure))
 
     quota_elements = n_layers * n_nodes * n_nodes
     return FetchPlan(
@@ -329,6 +325,7 @@ def _provider_grid(rows, n_rows: int, n_cols: int):
 
 _RECORD_FIELDS = {key: operator.itemgetter(key) for key in "odts"}
 _BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
+_CHUNK_LINES = 4096  # lines parsed together, so the parsed dicts stay few
 
 
 def _not_an_int(token):
@@ -339,26 +336,30 @@ def read_cache_file(path) -> np.ndarray:
     """Cache records as an (m, 4) int64 array of (o, d, t, s) rows, in file order.
 
     Each whole line that is not blank must hold one record of four JSON
-    integers. All of them are parsed by one json.loads of the joined lines;
-    when that fails, the same parse is run line by line to name the first
-    bad line.
+    integers. The lines are parsed _CHUNK_LINES at a time, each chunk by one
+    json.loads of its joined lines; when that fails, the same parse is run
+    line by line over the chunk to name the first bad line. A file that
+    cannot be read is an InputError.
     """
-    if path is None or not os.path.exists(path):
-        return np.empty((0, 4), dtype=np.int64)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")[:-1]  # the last piece is "" or a torn record
-    try:
-        return _parse_lines(lines)
-    except _BAD_RECORD:
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                _parse_lines([line])
-            except _BAD_RECORD as exc:
-                raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
-        raise  # not reached: lines that each parse alone also parse joined
+    lines = _read_text(path).split("\n")[:-1]  # the last piece is "" or a torn record
+    columns = [np.empty((4, 0), dtype=np.int64)]
+    for start in range(0, len(lines), _CHUNK_LINES):
+        chunk = lines[start : start + _CHUNK_LINES]
+        try:
+            columns.append(_parse_lines(chunk))
+        except _BAD_RECORD:
+            for lineno, line in enumerate(chunk, start=start + 1):
+                try:
+                    _parse_lines([line])
+                except _BAD_RECORD as exc:
+                    raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
+            raise  # not reached: lines that each parse alone also parse joined
+    # filled a field at a time, so the rows are a view of (4, m) columns
+    return np.concatenate(columns, axis=1).T
 
 
 def _parse_lines(lines) -> np.ndarray:
+    """The records of `lines` as a (4, m) array: one row per field."""
     whole = list(filter(str.strip, lines))
     records = json.loads(
         "[" + ",".join(whole) + "]", parse_float=_not_an_int, parse_constant=_not_an_int
@@ -369,9 +370,8 @@ def _parse_lines(lines) -> np.ndarray:
         # true, "1" or null: json.loads has no hook to refuse these
         if set(map(type, map(field, records))) - {int}:
             raise ValueError(f'"{key}" is not a JSON integer')
-    # filled a field at a time, so the rows are a view of (4, m) columns
     flat = itertools.chain.from_iterable(map(field, records) for field in _RECORD_FIELDS.values())
-    return np.fromiter(flat, dtype=np.int64, count=4 * len(records)).reshape(4, -1).T
+    return np.fromiter(flat, dtype=np.int64, count=4 * len(records)).reshape(4, -1)
 
 
 def _cut_torn_record(path) -> None:
@@ -412,9 +412,11 @@ def execute_fetch(
     if instance.n_nodes != n:
         raise InputError(f"plan covers {n} nodes but instance has {instance.n_nodes}")
     epochs = plan.start_epoch + plan.step_seconds * np.arange(plan.n_layers, dtype=np.int64)
-    values, known = _dense_layers(read_cache_file(cache_path), n, epochs)
+    rows = np.empty((0, 4), dtype=np.int64)  # a cache not written yet is empty
     if cache_path is not None and os.path.exists(cache_path):
+        rows = read_cache_file(cache_path)
         _cut_torn_record(cache_path)
+    values, known = _dense_layers(rows, n, epochs)
     cache_fh = open(cache_path, "a", encoding="utf-8") if cache_path else None
     try:
         for index, req in enumerate(plan.requests):

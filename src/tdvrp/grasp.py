@@ -65,6 +65,7 @@ from .model import (
     SolverParams,
     _advance,
     _arrivals,
+    _expect,
     _order_schedule,
     _parse_json,
 )
@@ -341,16 +342,8 @@ def result_from_json(text: str) -> dict:
         raise InputError(
             "result document must be a JSON object with 'route' and 'departures_s' fields"
         )
-    _check_list(doc, "route", (int,), "integer")
-    _check_list(doc, "departures_s", (int, float), "number")
+    for name, kind in (("route", "integer"), ("departures_s", "number")):
+        values = _expect(doc[name], "list", f"result field '{name}'")
+        for i, v in enumerate(values):
+            _expect(v, kind, f"result entry {name}[{i}]")
     return doc
-
-
-def _check_list(doc: dict, name: str, types: tuple, kind: str) -> None:
-    """Require doc[name] to be a JSON list of `kind` values (a bool is none)."""
-    value = doc[name]
-    if type(value) is not list:
-        raise InputError(f"result field '{name}' = {json.dumps(value)} is not a JSON list")
-    for i, v in enumerate(value):
-        if type(v) not in types:
-            raise InputError(f"result entry {name}[{i}] = {json.dumps(v)} is not a JSON {kind}")

@@ -388,7 +388,8 @@ def matrix_from_json(text: str) -> MultiLayerMatrix:
     try:
         times = _times_from_json(doc["times"])
         step, n_nodes, n_layers = (
-            _header_int(doc, name) for name in ("step_seconds", "n_nodes", "n_layers")
+            _expect(doc[name], "integer", f"matrix field {name!r}")
+            for name in ("step_seconds", "n_nodes", "n_layers")
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix document: {exc}") from exc
@@ -399,15 +400,6 @@ def matrix_from_json(text: str) -> MultiLayerMatrix:
             f"array is {matrix.n_layers}x{matrix.n_nodes}x{matrix.n_nodes}"
         )
     return matrix
-
-
-def _header_int(doc: dict, name: str) -> int:
-    """A header field of a matrix document; it must be a JSON integer, which
-    a float, a string or a bool (an int to Python) is not."""
-    value = doc[name]
-    if type(value) is not int:
-        raise InputError(f"matrix field {name!r} = {json.dumps(value)} is not a JSON integer")
-    return value
 
 
 def _times_from_json(raw) -> np.ndarray:
@@ -465,28 +457,19 @@ def instance_from_json(text: str) -> Instance:
 
 
 def _node_from_json(raw: dict, pos: int) -> Node:
-    """Entry `pos` of an instance's node list. Each field must have its JSON
-    type: a float is not an id, and a string or a bool (an int to Python) is
-    not a coordinate."""
+    """Entry `pos` of an instance's node list; each field must have its JSON type."""
 
-    def field(name, types, kind):
-        value = raw[name]
-        if type(value) not in types:
-            raise InputError(
-                f"instance entry nodes[{pos}].{name} = {json.dumps(value)} is not a JSON {kind}"
-            )
-        return value
+    def field(name, kind):
+        return _expect(raw[name], kind, f"instance entry nodes[{pos}].{name}")
 
-    node_id = field("id", (int,), "integer")
-    lat, lon = (float(field(name, (int, float), "number")) for name in ("lat", "lon"))
-    label = field("label", (str,), "string") if "label" in raw else ""
+    node_id = field("id", "integer")
+    lat, lon = (float(field(name, "number")) for name in ("lat", "lon"))
+    label = field("label", "string") if "label" in raw else ""
     return Node(node_id, lat, lon, label)
 
 
 def save_matrix(matrix: MultiLayerMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(matrix_to_json(matrix))
-        fh.write("\n")
+    _write_text(path, matrix_to_json(matrix) + "\n")
 
 
 def load_matrix(path) -> MultiLayerMatrix:
@@ -494,13 +477,14 @@ def load_matrix(path) -> MultiLayerMatrix:
 
 
 def save_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(instance))
-        fh.write("\n")
+    _write_text(path, instance_to_json(instance) + "\n")
 
 
 def load_instance(path) -> Instance:
     return instance_from_json(_read_text(path))
+
+
+# --- the file boundary: every file the package reads or writes whole --------
 
 
 def _read_text(path) -> str:
@@ -509,6 +493,22 @@ def _read_text(path) -> str:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+# the Python types of each JSON kind; a bool (an int to Python) is none of them
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "list": (list,)}
+
+
+def _expect(value, kind: str, where: str):
+    """`value` if it is a JSON `kind`, else an InputError naming `where`."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise InputError(f"{where} = {json.dumps(value)} is not a JSON {kind}")
+    return value
 
 
 def _not_a_json_number(constant):

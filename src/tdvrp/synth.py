@@ -10,6 +10,7 @@ driving times.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,16 +50,17 @@ class TrafficProfile:
     def __post_init__(self):
         object.__setattr__(self, "peak_windows", tuple(tuple(w) for w in self.peak_windows))
         object.__setattr__(self, "jitter_range", tuple(self.jitter_range))
-        if self.base_speed_kmh <= 0:
-            raise InputError(f"base speed must be positive, got {self.base_speed_kmh}")
+        # written so that NaN fails each test
+        if not 0.0 < self.base_speed_kmh < math.inf:
+            raise InputError(f"base speed must be positive and finite, got {self.base_speed_kmh}")
         for start, end, mult in self.peak_windows:
-            if mult < 1.0:
-                raise InputError(f"peak multiplier must be >= 1, got {mult}")
+            if not 1.0 <= mult < math.inf:
+                raise InputError(f"peak multiplier must be >= 1 and finite, got {mult}")
             if start < 0 or end <= start:
                 raise InputError(f"bad peak window [{start}, {end})")
         lo, hi = self.jitter_range
-        if not (0.0 < lo <= hi):
-            raise InputError(f"jitter range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+        if not 0.0 < lo <= hi < math.inf:
+            raise InputError(f"jitter range must be finite with 0 < lo <= hi, got ({lo}, {hi})")
 
     def layer_multiplier(self, layer: int) -> float:
         mult = 1.0

@@ -128,16 +128,42 @@ def test_compare_identical_layers_gap_is_zero(tmp_path, rng, capsys):
     assert "+0.000%" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_compare_needs_at_least_one_seed(seeds, small_setup, capsys):
+    _, inst_path, _, matrix_path = small_setup
+    rc = main(["compare", "--instance", str(inst_path), "--matrix", str(matrix_path),
+               "--seeds", seeds, *FAST])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: need at least one seed, got {seeds}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--base-speed", "nan"), ("--base-speed", "inf"), ("--peak", "0:1:nan"),
+     ("--peak", "0:1:inf"), ("--jitter", "1:inf")],
+)
+def test_gen_matrix_rejects_profile_values_that_are_not_finite(flag, value, small_setup,
+                                                                tmp_path, capsys):
+    _, inst_path, _, _ = small_setup
+    out = tmp_path / "matrix-out.json"
+    rc = main(["gen-matrix", "--instance", str(inst_path), "--layers", "2", flag, value,
+               "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err and not out.exists()
+
+
 def test_fetch_synthetic_backend(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["gen-instance", "--clients", "4", "--seed", "2", "--out", str(inst_path)])
     out = tmp_path / "matrix.json"
+    cache = tmp_path / "cache.jsonl"  # does not exist yet: the fetch creates it
     rc = main([
         "fetch", "--instance", str(inst_path), "--backend", "synthetic",
         "--layers", "3", "--step-seconds", "3600", "--seed", "4",
-        "--peak", "0:1:1.5", "--out", str(out),
+        "--peak", "0:1:1.5", "--cache", str(cache), "--out", str(out),
     ])
     assert rc == 0
+    assert len(cache.read_text().splitlines()) == 3 * 5 * 4
     stdout = capsys.readouterr().out
     assert "plan:" in stdout and "days needed" in stdout
     matrix = load_matrix(out)
@@ -181,6 +207,20 @@ def test_fetch_recorded_missing_fixture_is_input_error(tmp_path, capsys):
         "--out", str(tmp_path / "m.json"),
     ])
     assert rc == 2
+
+
+def test_fetch_unreadable_recorded_fixture_is_input_error(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    main(["gen-instance", "--clients", "3", "--out", str(inst_path)])
+    out = tmp_path / "m.json"
+    rc = main([
+        "fetch", "--instance", str(inst_path), "--backend", "recorded",
+        "--recorded", str(tmp_path / "no-such-file.jsonl"), "--out", str(out),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "cannot read" in captured.err
+    assert "quota usage" not in captured.out and not out.exists()
 
 
 def test_fetch_incomplete_recording_is_backend_error(tmp_path, capsys):

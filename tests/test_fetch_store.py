@@ -234,3 +234,21 @@ def test_corrupt_middle_line_names_its_line_number(tmp_path):
         path.write_text("".join(lines[:3] + [record + "\n"] + lines[4:]))
         with pytest.raises(InputError, match="bad cache line 4"):
             read_cache_file(path)
+
+
+def test_bad_line_past_the_first_chunk_is_named_by_its_line_number(tmp_path):
+    # parsed in chunks of 4,096 lines: the number counts every line, blank ones too
+    lines = [_line(0, 1, START, 60) if i % 10 else "\n" for i in range(4099)]
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(lines + ['{"o": 1, "d": 2, "t": 5, "s": 1.5}\n', lines[1]]))
+    with pytest.raises(InputError, match="bad cache line 4100 in"):
+        read_cache_file(path)
+
+
+def test_torn_last_line_past_the_first_chunk_is_skipped(tmp_path):
+    rows = [(i % 5, (i + 1) % 5, START + i, i) for i in range(5000)]
+    text = "".join(_line(*row) for row in rows)
+    path = tmp_path / "cache.jsonl"
+    path.write_text(text + _line(1, 2, START, 7)[:9], encoding="utf-8")
+    got = read_cache_file(path)
+    assert got.dtype == np.int64 and got.tolist() == [list(r) for r in rows]
