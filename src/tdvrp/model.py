@@ -325,8 +325,8 @@ def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
     """Scan every layer for negative entries, nonzero diagonal and triangle
     inequality violations t(i,k) > t(i,j) + t(j,k).
 
-    Diagnostic only: nothing is modified, and the solver accepts a matrix
-    whatever its report says.
+    Diagnostic only: nothing is modified. The solver refuses a matrix with
+    negative entries and accepts any other, whatever its report says.
     """
     arr = matrix.times
     n = matrix.n_nodes

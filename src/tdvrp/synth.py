@@ -20,6 +20,9 @@ from .errors import InputError
 from .model import Instance, MultiLayerMatrix
 
 EARTH_RADIUS_KM = 6371.0
+# travel times stay below this, so that two of them add up within int64
+# in the min-plus closure
+_MAX_SECONDS = 2.0**62
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -78,6 +81,15 @@ def min_plus_closure(d: np.ndarray) -> np.ndarray:
     return d
 
 
+def _seconds(times: np.ndarray, what: str) -> np.ndarray:
+    """Float travel times rounded to int64 seconds; an InputError naming
+    `what` if any is _MAX_SECONDS or more, or not a number."""
+    times = np.rint(times)
+    if not (times < _MAX_SECONDS).all():
+        raise InputError(f"{what} gives travel times past 2**62 s")
+    return times.astype(np.int64)
+
+
 def generate_synthetic(
     instance: Instance, n_layers: int, step_seconds: int, profile: TrafficProfile
 ) -> MultiLayerMatrix:
@@ -93,7 +105,9 @@ def generate_synthetic(
     lons = np.array([n.lon for n in instance.nodes])
     dist_km = haversine_km(lats[:, None], lons[:, None], lats[None, :], lons[None, :])
     n = instance.n_nodes
-    base = np.rint(dist_km / profile.base_speed_kmh * 3600.0).astype(np.int64)
+    speed = profile.base_speed_kmh
+    with np.errstate(over="ignore"):  # _seconds refuses what overflows
+        base = _seconds(dist_km / speed * 3600.0, f"base speed {speed} km/h")
     np.fill_diagonal(base, 0)
     off_diag = base[~np.eye(n, dtype=bool)]
     if (off_diag == 0).any():
@@ -108,7 +122,9 @@ def generate_synthetic(
 
     layers = np.empty((n_layers, n, n), dtype=np.int64)
     for s in range(n_layers):
-        scaled = np.rint(base * profile.layer_multiplier(s) * jitter).astype(np.int64)
+        mult = profile.layer_multiplier(s)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf x 0 on the diagonal
+            scaled = _seconds(base * mult * jitter, f"layer {s} multiplier {mult}")
         np.fill_diagonal(scaled, 0)
         layers[s] = min_plus_closure(scaled)
     return MultiLayerMatrix(times=layers, step_seconds=step_seconds)

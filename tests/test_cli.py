@@ -152,6 +152,22 @@ def test_gen_matrix_rejects_profile_values_that_are_not_finite(flag, value, smal
     assert "finite" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--base-speed", "1e-300", "base speed 1e-300"), ("--peak", "0:1:1e300", "multiplier 1e+300")],
+)
+def test_gen_matrix_rejects_travel_times_past_64_bits(flag, value, named, small_setup,
+                                                      tmp_path, capsys):
+    _, inst_path, _, _ = small_setup
+    out = tmp_path / "matrix-out.json"
+    rc = main(["gen-matrix", "--instance", str(inst_path), "--layers", "2", flag, value,
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "past 2**62 s" in err and "Warning" not in err
+    assert not out.exists()
+
+
 def test_fetch_synthetic_backend(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["gen-instance", "--clients", "4", "--seed", "2", "--out", str(inst_path)])

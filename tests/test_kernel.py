@@ -1,9 +1,10 @@
-"""The batched lane walk against the scalar reference recursion.
+"""The batched lane walks against the scalar reference recursion.
 
 `model._advance` prices many tours at once, each lane starting from a cached
-departure part-way along a tour. These properties check it, the tour edits
-that keep a clock, and the move pricing, lockstep construction, speculative
-improvement rounds and exhaustive search built on them, against
+departure part-way along a tour, and `grasp._layer_runs` finishes lanes on
+their own tour one layer run at a time. These properties check both, the
+tour edits that keep a clock, and the move pricing, lockstep construction,
+speculative improvement rounds and exhaustive search built on them, against
 `naive_departures` and plain one-at-a-time loops on random tours, start
 slots and matrices: integer and fractional layers, departures far past the
 horizon, empty and one-client tours, values drawn from a narrow range so that
@@ -17,17 +18,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdvrp import grasp
+from tdvrp.errors import InputError
 from tdvrp.grasp import (
     MAX_BATCH,
     _delete,
     _deletion_savings,
     _insert,
     _insertion_deltas,
+    _layer_runs,
     improve,
     run_grasp,
+    solve,
 )
+from tdvrp.instances import random_instance
 from tdvrp.model import MultiLayerMatrix, SolverParams, _advance, average_matrix
 from tdvrp.oracle import brute_force_optimum
+from tdvrp.synth import TrafficProfile, generate_synthetic
 
 from conftest import constant_matrix, grid_instance, naive_departures, random_layers
 
@@ -87,6 +94,94 @@ def test_lanes_from_any_start_slots_finish_at_the_tour_cost(data):
         steps.append(tail[moving + j])
     arrivals = _advance(k, cur, steps, matrix)
     assert _exact(arrivals) == _exact([total] * len(slots))
+
+
+def _finish(path, pos, k, matrix):
+    """Reference: leave path[pos] at time k and drive the rest of the path,
+    one arc at a time, each on the layer of its own departure."""
+    for a, b in zip(path[pos:], path[pos + 1:]):
+        layer = min(k // matrix.step_seconds, matrix.n_layers - 1)
+        k += int(matrix.times[layer, a, b])
+    return k
+
+
+@SETTINGS
+@given(data=st.data())
+def test_layer_runs_match_the_reference_walk(data):
+    # 1-4 equal-length tours; lanes start from the tours' own clocks and
+    # from arbitrary times up to far past the horizon
+    n_layers = data.draw(st.integers(1, 8))
+    step = data.draw(st.integers(1, 3600))
+    clients = data.draw(st.integers(0, 13))
+    high = data.draw(st.sampled_from([1, 4, 2000]))  # 1: every arc takes 0 s
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = clients + 2  # one node more than the tours visit: a matrix has >= 2
+    matrix = MultiLayerMatrix(times=rng.integers(0, high, size=(n_layers, n, n)), step_seconds=step)
+    orders = [
+        rng.permutation(np.arange(1, n))[:clients].tolist()
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    paths = np.array([[0, *order, 0] for order in orders], dtype=np.intp)
+    lanes = data.draw(st.lists(
+        st.tuples(st.integers(0, len(orders) - 1), st.integers(0, clients + 1),
+                  st.one_of(st.none(), st.integers(0, 3 * n_layers * step + 2000 * n))),
+        min_size=1, max_size=30,
+    ))
+    tour, pos, k, expected = [], [], [], []
+    for t, p, start in lanes:
+        departures, total = _naive(orders[t], matrix)
+        if start is None and clients:  # from the tour's own clock, to its cost
+            start = [*departures, total][p]
+            expected.append(total)
+        else:  # an empty tour's path [0, 0] is walked as it stands
+            start = start or 0
+            expected.append(_finish(paths[t].tolist(), p, start, matrix))
+        tour.append(t), pos.append(p), k.append(start)
+    got = _layer_runs(paths, np.array(k, dtype=np.int64), np.array(tour), np.array(pos), matrix)
+    assert got.tolist() == expected
+
+
+def test_layer_runs_refuse_sums_that_would_wrap():
+    # 30 tours x 8 layers x 41 arcs near 1e15 s: the laid-out rows pass 2**63
+    rng = np.random.default_rng(3)
+    paths = np.array([[0, *rng.permutation(np.arange(1, 41)), 0] for _ in range(30)])
+    lanes = np.zeros(30, dtype=np.int64), np.arange(30), np.zeros(30, dtype=np.intp)
+    for scale, fits in ((10**14, True), (10**15, False)):
+        times = rng.integers(scale // 2, scale, size=(8, 41, 41))
+        matrix = MultiLayerMatrix(times=times, step_seconds=3600)
+        if fits:
+            got = _layer_runs(paths, *lanes, matrix)
+            assert got.tolist() == [_finish(path.tolist(), 0, 0, matrix) for path in paths]
+        else:
+            with pytest.raises(InputError, match="too large to price exactly"):
+                _layer_runs(paths, *lanes, matrix)
+
+
+def test_forty_client_solve_by_layer_runs_matches_the_walk(monkeypatch):
+    # at 7,200 s a step a tour reaches about three layers, so many moves are
+    # priced by layer runs on the integer matrix; its float copy is walked,
+    # and its sums are the same integers
+    instance = random_instance(40, seed=8)
+    profile = TrafficProfile(25.0, ((0, 2, 1.6), (5, 8, 1.4)), (0.9, 1.2), seed=8)
+    matrix = generate_synthetic(instance, 8, 7200, profile)
+    walked = MultiLayerMatrix(times=matrix.times.astype(float), step_seconds=7200)
+    params = SolverParams(n_grasp=3, n_improve=12, l_delete=6, seed=8)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return _layer_runs(*args)
+
+    monkeypatch.setattr(grasp, "_layer_runs", counted)
+    result = solve(instance, matrix, params)
+    runs = len(calls)
+    reference = solve(instance, walked, params)
+    assert runs > 12 and len(calls) == runs  # the float copy is only walked
+    assert result.best_route == reference.best_route
+    assert _exact(result.cost_trace) == _exact(reference.cost_trace)
+    departures, total = _naive(result.best_route.order, matrix)
+    assert _exact(result.best_schedule.departures) == _exact(departures)
+    assert _exact([result.best_schedule.total_cost]) == _exact([total])
 
 
 @SETTINGS

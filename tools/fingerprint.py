@@ -7,7 +7,11 @@ phase. Two trees whose outputs match byte for byte produce the same results.
 
 Cases: Paris31 on its layered synthetic matrix (seeds 0-3) and on the
 time-averaged one (seeds 0-1), the 100-client improvement-heavy parameters
-(seeds 1-3), and 20 random 1-13-client matrices with random parameters.
+(seeds 1-3), 20 random 1-13-client matrices with random parameters, and
+three 40-client integer matrices that take the solver's layer runs to their
+edges: one layer (every lane finishes in one run), four layers at a step of
+1 s (every departure past the horizon), and clients that share their
+location with the depot or another client (arcs of 0 s).
 
     PYTHONPATH=src python3 tools/fingerprint.py > fingerprint.txt
 """
@@ -15,12 +19,14 @@ time-averaged one (seeds 0-1), the 100-client improvement-heavy parameters
 from __future__ import annotations
 
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from tdvrp.grasp import improve, run_grasp
 from tdvrp.instances import bundled_paris, random_instance
-from tdvrp.model import MultiLayerMatrix, SolverParams, average_matrix
+from tdvrp.model import Instance, MultiLayerMatrix, SolverParams, average_matrix
 from tdvrp.synth import TrafficProfile, generate_synthetic
 
 
@@ -87,6 +93,20 @@ def cases():
             seed=int(draw.integers(0, 2**63)),
         )
         yield f"random-{case}", matrix, params
+
+    forty = random_instance(40, seed=40)
+    params = SolverParams(n_grasp=4, n_improve=30, l_delete=8, seed=40)
+    profile = TrafficProfile(25.0, ((1, 3, 1.7),), (0.9, 1.2), seed=40)
+    yield "forty-one-layer", generate_synthetic(forty, 1, 3600, profile), params
+    four = generate_synthetic(forty, 4, 3600, profile)
+    yield "forty-step-1s", MultiLayerMatrix(times=four.times, step_seconds=1), params
+    # clients 31-40 stand on the depot and on clients 1-9
+    nodes = forty.nodes
+    shared = [replace(node, lat=at.lat, lon=at.lon) for node, at in zip(nodes[31:], nodes)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the warning about coincident nodes
+        coincident = generate_synthetic(Instance(nodes[:31] + tuple(shared)), 6, 7200, profile)
+    yield "forty-coincident", coincident, params
 
 
 def main() -> None:
