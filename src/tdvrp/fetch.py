@@ -50,7 +50,7 @@ from .errors import (
     QuotaExhaustedError,
     TransientBackendError,
 )
-from .model import Instance, MultiLayerMatrix, _read_text
+from .model import Instance, MultiLayerMatrix, _integer, _read_text
 
 DEFAULT_ELEMENTS_PER_REQUEST = 100
 FREE_DAILY_QUOTA = 2_500
@@ -60,7 +60,6 @@ API_KEY_ENV_VAR = "GOOGLE_MAPS_API_KEY"
 REQUEST_TIMEOUT_SECONDS = 30.0
 MAX_ATTEMPTS = 5
 RETRY_BASE_DELAY = 0.5  # seconds
-_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -129,6 +128,12 @@ def plan_fetch(
     The tiles partition each layer exactly (no duplicates, no holes).
     Layer 0 departs at start_epoch, by default two weeks from now.
     """
+    step_seconds = _integer(step_seconds, "step_seconds")
+    elements_per_request_limit = _integer(elements_per_request_limit, "elements_per_request_limit")
+    daily_quota = _integer(daily_quota, "daily_quota")
+    if start_epoch is None:
+        start_epoch = int(time.time()) + QUERY_LEAD_SECONDS
+    start_epoch = _integer(start_epoch, "start_epoch")
     if n_nodes < 2:
         raise InputError(f"need at least 2 nodes, got {n_nodes}")
     if n_layers < 1:
@@ -139,8 +144,6 @@ def plan_fetch(
         raise InputError("daily quota must be >= 1")
     if step_seconds < 1:
         raise InputError("step_seconds must be >= 1")
-    if start_epoch is None:
-        start_epoch = int(time.time()) + QUERY_LEAD_SECONDS
 
     limit = min(elements_per_request_limit, daily_quota)
     # whole rows while a row fits under the cap, else one row cut into pieces
@@ -148,7 +151,7 @@ def plan_fetch(
     all_nodes = tuple(range(n_nodes))
     reqs = []
     for layer in range(n_layers):
-        departure = int(start_epoch) + layer * step_seconds
+        departure = start_epoch + layer * step_seconds
         for r0 in range(0, n_nodes, rows):
             for c0 in range(0, n_nodes, cols):
                 tile = all_nodes[r0 : r0 + rows], all_nodes[c0 : c0 + cols]
@@ -159,7 +162,7 @@ def plan_fetch(
         n_nodes=n_nodes,
         n_layers=n_layers,
         step_seconds=step_seconds,
-        start_epoch=int(start_epoch),
+        start_epoch=start_epoch,
         requests=tuple(reqs),
         total_elements=n_layers * n_nodes * (n_nodes - 1),
         quota_elements=quota_elements,
@@ -288,7 +291,8 @@ class LiveBackend:
 
 def _provider_grid(rows, n_rows: int, n_cols: int):
     """A provider's rows as (values, answered) arrays; an element whose
-    status is not OK, or that carries no duration, is a hole."""
+    status is not OK, or that carries no duration, is a hole. A duration
+    that is negative or not a 64-bit integer is malformed, never cached."""
     if type(rows) is not list or len(rows) != n_rows:
         raise PermanentBackendError(f"response does not hold {n_rows} rows")
     values = np.zeros((n_rows, n_cols), dtype=np.int64)
@@ -306,10 +310,10 @@ def _provider_grid(rows, n_rows: int, n_cols: int):
             if not duration:
                 continue
             seconds = duration.get("value") if isinstance(duration, dict) else None
-            if type(seconds) is not int or not _INT64.min <= seconds <= _INT64.max:
+            if type(seconds) is not int or not 0 <= seconds < 2**63:
                 raise PermanentBackendError(
                     f"response element ({i}, {j}) has duration {json.dumps(duration)}, "
-                    "whose value is not a 64-bit JSON integer"
+                    "whose value is not a 64-bit JSON integer >= 0"
                 )
             values[i, j] = seconds
             answered[i, j] = True
@@ -405,7 +409,7 @@ def execute_fetch(
     rerun over a warm cache issues zero backend calls. Transient failures are
     retried with exponential backoff (see the module docstring); a quota
     signal suspends the plan with progress preserved in the cache. Fetched
-    values are stored as-is: real data is validated downstream, never fixed.
+    values are stored as-is, never fixed; MultiLayerMatrix refuses a negative one.
     Each request's departure_time is its layer's epoch, as plan_fetch makes it.
     """
     n = plan.n_nodes

@@ -26,7 +26,7 @@ leaves within its current layer at once; each step takes it to a later layer
 or to the depot. Integer sums are exact, so both give the same bits, and a
 cost model (`_by_layer_runs`) picks the cheaper per move. Float matrices are
 always walked arc by arc: prefix sums would change the order of float
-additions. Travel times must be >= 0, or prefix sums would not be monotone.
+additions. Prefix sums are monotone: MultiLayerMatrix refuses negative times.
 
 The n_grasp construction trials grow in lockstep: after m insertions every
 trial has m clients placed and the same number left, so one walk prices the
@@ -197,8 +197,8 @@ def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
     k + prefix[t, s, y] - prefix[t, s, i], falls past the layer's end (one
     `searchsorted`), or to the depot; in the last layer it always drives to
     the depot. Each step takes every lane to a later layer or to the depot,
-    so at most one step per layer. Arc times must be >= 0 integers; the sums
-    are exact, and equal the scalar walk's bit for bit.
+    so at most one step per layer. Arc times are integers, and >= 0 in every
+    MultiLayerMatrix; the sums are exact, equal to the scalar walk's bit for bit.
     """
     times, step = matrix.times, matrix.step_seconds
     layers = matrix.n_layers
@@ -305,24 +305,11 @@ def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int):
     return paths, clocks
 
 
-def _check_times(matrix: MultiLayerMatrix) -> None:
-    """Refuse a matrix with a travel time that is not >= 0: a negative one
-    breaks the monotone prefix sums of `_layer_runs` and can send a
-    departure to a negative layer."""
-    bad = np.flatnonzero(~(matrix.times >= 0))
-    if bad.size:
-        s, i, j = np.unravel_index(bad[0], matrix.times.shape)
-        raise InputError(
-            f"travel times must be >= 0; times[{s}][{i}][{j}] = {matrix.times[s, i, j]}"
-        )
-
-
 def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResult:
     """Construction phase: n_grasp randomized tours, best one kept.
 
     The cost trace lists every trial's cost in trial order.
     """
-    _check_times(matrix)
     paths, clocks = construct_route(matrix, params.k_grasp, rng, params.n_grasp)
     trace = [clock[-1] for clock in clocks]
     # the first of the cheapest tours
@@ -370,7 +357,6 @@ def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> Solve
     the best cost after each round, so it is non-increasing. Rounds run in
     speculative batches (see the module docstring).
     """
-    _check_times(matrix)
     order = tuple(route.order if isinstance(route, Route) else route)
     if set(order) != set(range(1, matrix.n_nodes)):
         raise InputError("improvement needs a complete route over all clients")

@@ -61,14 +61,27 @@ class Instance:
         return [(n.lat, n.lon) for n in self.nodes]
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int; an InputError naming `name` unless it is one (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_times_array(times) -> np.ndarray:
     arr = np.asarray(times)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise InputError(f"times must have shape (layers, n, n), got {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 2:
         raise InputError(f"need at least 1 layer and 2 nodes, got shape {arr.shape}")
-    dtype = np.float64 if np.issubdtype(arr.dtype, np.floating) else np.int64
-    arr = np.ascontiguousarray(arr, dtype=dtype)
+    if arr.dtype.kind not in "iuf":  # numpy would cast str, bool and object entries
+        raise InputError(f"times must be integer or float seconds, got dtype {arr.dtype}")
+    arr = np.ascontiguousarray(arr, dtype=np.float64 if arr.dtype.kind == "f" else np.int64)
+    # NaN fails the test too, and a uint64 past 2**63 - 1 has wrapped negative
+    bad = np.flatnonzero(~(arr >= 0))
+    if bad.size:
+        s, i, j = np.unravel_index(bad[0], arr.shape)
+        raise InputError(f"travel times must be >= 0; times[{s}][{i}][{j}] = {arr[s, i, j]}")
     arr.setflags(write=False)
     return arr
 
@@ -82,17 +95,20 @@ class MultiLayerMatrix:
     fall back to the last layer. Layers may be asymmetric (one-way roads)
     and need not satisfy the triangle inequality; validate_matrix reports
     where they do not.
+
+    Every matrix is checked here, whatever builds it: integer or float
+    times, each >= 0 (not NaN), and a positive integer step_seconds.
     """
 
     times: np.ndarray
     step_seconds: int
 
     def __post_init__(self):
-        if int(self.step_seconds) <= 0:
-            raise InputError(f"step_seconds must be positive, got {self.step_seconds}")
-        object.__setattr__(self, "step_seconds", int(self.step_seconds))
-        arr = _as_times_array(self.times)
-        object.__setattr__(self, "times", arr)
+        step = _integer(self.step_seconds, "step_seconds")
+        if step <= 0:
+            raise InputError(f"step_seconds must be positive, got {step}")
+        object.__setattr__(self, "step_seconds", step)
+        object.__setattr__(self, "times", _as_times_array(self.times))
 
     @property
     def n_layers(self) -> int:
@@ -171,11 +187,8 @@ class SolverParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InputError(f"{f.name} must be an integer, got {value!r}")
             # a numpy integer would not serialize in result_to_json
-            object.__setattr__(self, f.name, int(value))
+            object.__setattr__(self, f.name, _integer(getattr(self, f.name), f.name))
         for name in ("n_grasp", "k_grasp", "l_delete", "k_del", "k_ins"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -289,24 +302,18 @@ class LayerReport:
 class MatrixReport:
     """Diagnostic summary from validate_matrix; ok means the matrix is clean."""
 
-    negative_entries: int
     nonzero_diagonal: int
     layers: tuple[LayerReport, ...]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.negative_entries == 0
-            and self.nonzero_diagonal == 0
-            and all(l.triangle_violations == 0 for l in self.layers)
-        )
+        return self.nonzero_diagonal == 0 and all(l.triangle_violations == 0 for l in self.layers)
 
     def summary(self) -> str:
         if self.ok:
+            # no matrix has negative entries: MultiLayerMatrix refuses them
             return "matrix clean: no negative entries, zero diagonal, triangle inequality holds"
         parts = []
-        if self.negative_entries:
-            parts.append(f"{self.negative_entries} negative entries")
         if self.nonzero_diagonal:
             parts.append(f"{self.nonzero_diagonal} nonzero diagonal entries")
         for rep in self.layers:
@@ -322,15 +329,15 @@ _VALIDATE_BLOCK = 1 << 21  # elements: n = 101 is still one block of rows
 
 
 def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
-    """Scan every layer for negative entries, nonzero diagonal and triangle
-    inequality violations t(i,k) > t(i,j) + t(j,k).
+    """Scan every layer for nonzero diagonal and triangle inequality
+    violations t(i,k) > t(i,j) + t(j,k).
 
-    Diagnostic only: nothing is modified. The solver refuses a matrix with
-    negative entries and accepts any other, whatever its report says.
+    Diagnostic only: nothing is modified, and the solver accepts the matrix
+    whatever its report says. Negative entries need no scan here: a
+    MultiLayerMatrix never holds one.
     """
     arr = matrix.times
     n = matrix.n_nodes
-    negative = int((arr < 0).sum())
     diag = int((arr[:, range(n), range(n)] != 0).sum())
 
     # excess[i, j, k] = t(i,k) - t(i,j) - t(j,k), over blocks of origin rows i
@@ -353,7 +360,7 @@ def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
             count += int((excess > 0).sum())
             worst = max(worst, excess.max().item())
         layers.append(LayerReport(s, count, worst))
-    return MatrixReport(negative, diag, tuple(layers))
+    return MatrixReport(diag, tuple(layers))
 
 
 # --- file formats -----------------------------------------------------------
@@ -404,7 +411,7 @@ def matrix_from_json(text: str) -> MultiLayerMatrix:
 
 def _times_from_json(raw) -> np.ndarray:
     """The `times` of a matrix document as int64; every entry must be a JSON
-    integer >= 0 (not a float, a bool or a string, which numpy would coerce).
+    integer (not a float, a bool or a string, which numpy would coerce).
     """
     cells = np.array(raw, dtype=object)
     if cells.ndim != 3:
@@ -423,9 +430,6 @@ def _times_from_json(raw) -> np.ndarray:
     except OverflowError:
         at = next(i for i, v in enumerate(flat) if not -(2**63) <= v < 2**63)
         raise InputError(f"matrix entry {where(at)} does not fit in 64 bits") from None
-    negative = np.flatnonzero(times < 0)
-    if negative.size:
-        raise InputError(f"matrix entry {where(negative[0])} is negative")
     return times.reshape(cells.shape)
 
 

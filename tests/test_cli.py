@@ -215,6 +215,26 @@ def test_fetch_recorded_backend_round_trip(tmp_path, rng, capsys):
     assert np.array_equal(fetched.times, source.times)
 
 
+def test_fetch_refuses_a_recorded_negative_time(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(grid_instance(4), inst_path)
+    start = 1_700_000_000
+    fixture = tmp_path / "recorded.jsonl"
+    fixture.write_text("".join(
+        json.dumps({"o": o, "d": d, "t": start, "s": -40 if (o, d) == (0, 1) else 60}) + "\n"
+        for o in range(4) for d in range(4) if o != d
+    ))
+    out = tmp_path / "got.json"
+    rc = main([
+        "fetch", "--instance", str(inst_path), "--backend", "recorded",
+        "--recorded", str(fixture), "--layers", "1", "--step-seconds", "3600",
+        "--start-epoch", str(start), "--out", str(out),
+    ])
+    assert rc == 2
+    assert "times[0][0][1] = -40" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fetch_recorded_missing_fixture_is_input_error(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["gen-instance", "--clients", "3", "--out", str(inst_path)])

@@ -101,6 +101,22 @@ def test_plan_rejects_degenerate_sizes():
         plan_fetch(4, 0, start_epoch=START)
 
 
+@pytest.mark.parametrize(
+    "arg, value",
+    [
+        # 1.5 once planned departures at START + 1.5, which the cache then refused
+        ("step_seconds", 1.5),
+        ("start_epoch", START + 0.5),
+        ("elements_per_request_limit", True),
+        ("daily_quota", "100"),
+    ],
+)
+def test_plan_refuses_integer_arguments_that_are_not_integers(arg, value):
+    with pytest.raises(InputError) as info:
+        plan_fetch(4, 2, **{"start_epoch": START, arg: value})
+    assert str(info.value) == f"{arg} must be an integer, got {value!r}"
+
+
 # --- execution -------------------------------------------------------------------
 
 
@@ -411,6 +427,7 @@ def _seconds(value):
         (_ok_rows([_seconds(1), _seconds(2)]), "row 0 does not hold 1 elements"),
         ({"status": "OK", "rows": ["elements"]}, "row 0 does not hold 1 elements"),
         (_ok_rows(["OK"]), r"element \(0, 0\) is not an object"),
+        (_ok_rows([_seconds(-40)]), r'duration \{"value": -40\}, whose value is not .* >= 0'),
     ],
 )
 def test_live_backend_rejects_malformed_responses(payload, expected):

@@ -189,14 +189,20 @@ def test_execute_fetch_matches_dict_fetch(tmp_path_factory, case):
     path.write_text(cache_text, encoding="utf-8")
     reference = DictBackend(recorded)
     want_times, want_holes, want_text = reference_fetch(plan, reference, cache_text)
+    # a complete matrix with a negative time is refused at assembly
+    refused = want_times is not None and bool((want_times < 0).any())
 
     try:
         matrix = execute_fetch(plan, RecordedBackend(inst, recorded), inst, cache_path=path)
         holes = []
     except IncompleteMatrixError as err:
         matrix, holes = None, err.holes
+    except InputError as err:
+        assert refused and "travel times must be >= 0" in str(err)
+        matrix, holes = None, []
     assert holes == want_holes
-    if want_times is not None:
+    assert (matrix is None) == (want_times is None or refused)
+    if matrix is not None:
         assert np.array_equal(matrix.times, want_times)
     assert path.read_text(encoding="utf-8") == want_text
 
@@ -205,7 +211,7 @@ def test_execute_fetch_matches_dict_fetch(tmp_path_factory, case):
     backend = DictBackend(recorded)
     try:
         execute_fetch(plan, backend, inst, cache_path=path)
-    except IncompleteMatrixError:
+    except (IncompleteMatrixError, InputError):
         pass
     assert backend.calls == reference.calls
     assert path.read_text(encoding="utf-8") == want_text

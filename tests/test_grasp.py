@@ -223,17 +223,18 @@ def test_improve_rejects_partial_route(rng):
 @pytest.mark.parametrize("bad", [-500, -1, np.nan])
 @pytest.mark.parametrize("call", ["solve", "run_grasp", "improve"])
 def test_travel_times_below_zero_are_refused(call, bad, rng):
+    # MultiLayerMatrix refuses the time when it is built, so no entry point
+    # is ever handed such a matrix
     times = random_layers(rng, 6, 2).astype(float if np.isnan(bad) else np.int64)
     times[1, 3, 4] = bad
-    m = MultiLayerMatrix(times=times, step_seconds=1800)
     params = SolverParams(n_grasp=2, n_improve=2, l_delete=2)
     calls = {
-        "solve": lambda: solve(grid_instance(6), m, params),
-        "run_grasp": lambda: run_grasp(m, params, np.random.default_rng(0)),
-        "improve": lambda: improve(Route((1, 2, 3, 4, 5)), m, params, np.random.default_rng(0)),
+        "solve": lambda m: solve(grid_instance(6), m, params),
+        "run_grasp": lambda m: run_grasp(m, params, np.random.default_rng(0)),
+        "improve": lambda m: improve(Route((1, 2, 3, 4, 5)), m, params, np.random.default_rng(0)),
     }
     with pytest.raises(InputError, match=r"must be >= 0; times\[1\]\[3\]\[4\] = "):
-        calls[call]()
+        calls[call](MultiLayerMatrix(times=times, step_seconds=1800))
 
 
 # --- full pipeline ----------------------------------------------------------------

@@ -223,7 +223,6 @@ def test_validate_clean_matrix():
     m = constant_matrix(5, 600, n_layers=2)
     report = validate_matrix(m)
     assert report.ok
-    assert report.negative_entries == 0
     assert all(l.triangle_violations == 0 for l in report.layers)
 
 
@@ -254,21 +253,12 @@ def test_validate_in_row_blocks_matches_exhaustive_scan(rng, monkeypatch, block_
     for _ in range(5):
         n = int(rng.integers(3, 9))
         monkeypatch.setattr(model, "_VALIDATE_BLOCK", block_rows * n * n)
-        layers = rng.integers(-5, 50, size=(2, n, n))  # diagonals left nonzero
+        layers = rng.integers(0, 50, size=(2, n, n))  # diagonals left nonzero
         for arr in (layers, layers + 0.5):
             report = validate_matrix(MultiLayerMatrix(times=arr, step_seconds=3600))
             for s, layer in enumerate(report.layers):
                 got = (layer.triangle_violations, layer.worst_violation)
                 assert got == triangle_violations_scan(arr[s].tolist())
-
-
-def test_validate_flags_negative_entry():
-    arr = np.zeros((1, 3, 3), dtype=np.int64)
-    arr[0, 0, 1] = -5
-    m = make_matrix(arr, 3600)
-    report = validate_matrix(m)
-    assert report.negative_entries == 1
-    assert not report.ok
 
 
 def test_validate_flags_nonzero_diagonal():
@@ -294,8 +284,60 @@ def test_matrix_structural_validation():
         MultiLayerMatrix(times=np.zeros((2, 3)), step_seconds=60)
     with pytest.raises(InputError):
         MultiLayerMatrix(times=np.zeros((1, 3, 4)), step_seconds=60)
-    with pytest.raises(InputError):
-        MultiLayerMatrix(times=np.zeros((1, 3, 3)), step_seconds=0)
+
+
+@pytest.mark.parametrize(
+    "dtype, bad", [(np.int64, -500), (np.int64, -1), (float, -500), (float, -1), (float, np.nan)]
+)
+def test_travel_times_below_zero_are_refused(dtype, bad, rng):
+    times = random_layers(rng, 6, 2).astype(dtype)
+    times[1, 3, 4] = bad
+    with pytest.raises(InputError, match=r"must be >= 0; times\[1\]\[3\]\[4\] = "):
+        MultiLayerMatrix(times=times, step_seconds=1800)
+
+
+def test_time_that_priced_a_tour_below_zero_is_refused():
+    # evaluate_route and brute_force_optimum once accepted this matrix: the
+    # tour (1, 2, 3, 4, 5) left client 1 at -5000 s, priced on a wrapped
+    # layer, and came back at -2000 s
+    times = np.full((3, 6, 6), 600)
+    times[:, range(6), range(6)] = 0
+    times[0, 0, 1] = -5000
+    with pytest.raises(InputError, match=r"times\[0\]\[0\]\[1\] = -5000$"):
+        MultiLayerMatrix(times=times, step_seconds=1800)
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        # numpy would cast each of these to int64
+        (np.array([[["0", "5"], ["7", "0"]]]), "integer or float seconds, got dtype <U1"),
+        (np.array([[[False, True], [True, False]]]), "integer or float seconds, got dtype bool"),
+        (np.array([[[0, 5], [7, 0]]], dtype=object), "integer or float seconds, got dtype object"),
+        # 2**63 wraps to the most negative int64
+        (np.array([[[0, 2**63], [7, 0]]], dtype=np.uint64), "times[0][0][1] = -9223372036854775808"),
+    ],
+    ids=["str", "bool", "object", "uint64"],
+)
+def test_matrix_refuses_entries_numpy_would_coerce(times, message):
+    with pytest.raises(InputError) as info:
+        MultiLayerMatrix(times=times, step_seconds=60)
+    assert str(info.value).endswith(message)
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (1.9, "step_seconds must be an integer, got 1.9"),
+        ("7200", "step_seconds must be an integer, got '7200'"),
+        (True, "step_seconds must be an integer, got True"),
+        (0, "step_seconds must be positive, got 0"),
+    ],
+)
+def test_matrix_refuses_step_that_is_not_a_positive_integer(step, message):
+    with pytest.raises(InputError) as info:
+        MultiLayerMatrix(times=np.zeros((1, 3, 3), dtype=np.int64), step_seconds=step)
+    assert str(info.value) == message
 
 
 def test_matrix_is_immutable():
@@ -433,7 +475,7 @@ def test_matrix_json_rejects_bool_entries():
 
 def test_matrix_json_rejects_negative_entries_even_when_marked_closed():
     times = [[[0, 5], [5, 0]], [[0, 4], [-3, 0]]]
-    with pytest.raises(InputError, match=r"times\[1\]\[1\]\[0\] = -3 is negative"):
+    with pytest.raises(InputError, match=r"must be >= 0; times\[1\]\[1\]\[0\] = -3$"):
         matrix_from_json(_matrix_document(times, closed=True))
 
 
