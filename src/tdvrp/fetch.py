@@ -128,6 +128,8 @@ def plan_fetch(
     The tiles partition each layer exactly (no duplicates, no holes).
     Layer 0 departs at start_epoch, by default two weeks from now.
     """
+    n_nodes = _integer(n_nodes, "n_nodes")
+    n_layers = _integer(n_layers, "n_layers")
     step_seconds = _integer(step_seconds, "step_seconds")
     elements_per_request_limit = _integer(elements_per_request_limit, "elements_per_request_limit")
     daily_quota = _integer(daily_quota, "daily_quota")

@@ -20,13 +20,17 @@ departure times, so local two-arc arithmetic would be wrong. Each candidate
 starts from the kept clock at its slot and only re-walks the rest of the
 tour, and all candidates of one move advance together: one array step per
 arc (`model._advance`), or, on an integer matrix, one step per layer run
-(`_layer_runs`). Within one layer a tour's arc times are fixed, so a prefix
-sum per layer of each priced tour carries a candidate across every arc it
-leaves within its current layer at once; each step takes it to a later layer
-or to the depot. Integer sums are exact, so both give the same bits, and a
-cost model (`_by_layer_runs`) picks the cheaper per move. Float matrices are
-always walked arc by arc: prefix sums would change the order of float
-additions. Prefix sums are monotone: MultiLayerMatrix refuses negative times.
+(`_layer_runs`). The walk names every arc by its flat index
+origin * n + destination, built once per move, so an arc step is one `take`
+from the flattened layers; on a one-layer matrix, such as the averaged
+baseline, a step skips the layer lookup. Within one layer a tour's arc times
+are fixed, so a prefix sum per layer of each priced tour carries a candidate
+across every arc it leaves within its current layer at once; each step takes
+it to a later layer or to the depot. Integer sums are exact, so both give the
+same bits, and a cost model (`_by_layer_runs`) picks the cheaper per move.
+Float matrices are always walked arc by arc: prefix sums would change the
+order of float additions. Prefix sums are monotone: MultiLayerMatrix refuses
+negative times.
 
 The n_grasp construction trials grow in lockstep: after m insertions every
 trial has m clients placed and the same number left, so one walk prices the
@@ -127,18 +131,20 @@ def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix) -> np.ndarr
     paths = np.asarray(paths, dtype=np.intp)
     clock = np.asarray(clock, dtype=matrix.times.dtype)
     nodes = np.asarray(nodes, dtype=np.intp)
+    n = matrix.n_nodes
     slots = paths.shape[1] - 1
     k = np.repeat(clock[:, :-1].T[:, :, None], nodes.shape[1], axis=2)
-    cur = paths[:, :-1].T[:, :, None]
-    tail = paths[:, 1:].T.copy()[:, :, None]  # contiguous: the walk indexes it faster
-    first = np.broadcast_to(nodes, (slots, *nodes.shape))
+    # the arcs into and out of each new node, as flat indices
+    into = paths[:, :-1].T[:, :, None] * n + nodes
+    out = nodes * n + paths[:, 1:].T[:, :, None]
     if _by_layer_runs(1 + slots, k.size, clock, matrix):
-        # the two arcs through the new node, then the tour's own arcs from p + 1
-        _advance(k, cur, [first, tail], matrix)
+        _advance(k, [into, out], matrix)
         pos = np.arange(1, slots + 1)[:, None, None]
         k = _layer_runs(paths, k, np.arange(len(paths))[:, None], pos, matrix)
     else:
-        k = _advance(k, cur, chain([first], (tail[j:] for j in range(slots))), matrix)
+        # the tour's own arcs, slot-major: lane p takes own[p + j] at step j
+        own = (paths[:, :-1] * n + paths[:, 1:]).T.copy()[:, :, None]
+        k = _advance(k, chain([into, out], (own[j:] for j in range(1, slots))), matrix)
     return k - clock[:, -1, None]
 
 
@@ -156,14 +162,16 @@ def _deletion_savings(paths, clock, matrix: MultiLayerMatrix) -> np.ndarray:
     if len(paths) == 3:
         # each tour left is empty and costs 0; there is no arc to walk
         return clock[-1:]
-    tail = paths[2:]
-    if _by_layer_runs(len(tail), tail.size, clock, matrix):
-        # the arc that skips the client, then the tour's own arcs from idx + 2
-        k = _advance(clock[:-2], paths[:-2], [tail], matrix)
+    n = matrix.n_nodes
+    # the arc that skips each client, then the tour's own arcs from idx + 1
+    skip = paths[:-2] * n + paths[2:]
+    if _by_layer_runs(len(skip), skip.size, clock, matrix):
+        k = _advance(clock[:-2], [skip], matrix)
         pos = np.arange(2, len(paths))[:, None]
-        k = _layer_runs(paths.T, k, np.arange(tail.shape[1]), pos, matrix)
+        k = _layer_runs(paths.T, k, np.arange(skip.shape[1]), pos, matrix)
     else:
-        k = _advance(clock[:-2], paths[:-2], (tail[j:] for j in range(len(tail))), matrix)
+        own = paths[1:-1] * n + paths[2:]  # lane idx takes own[idx + j] at step j
+        k = _advance(clock[:-2], chain([skip], (own[j:] for j in range(1, len(own)))), matrix)
     return clock[-1] - k
 
 
@@ -174,15 +182,15 @@ def _by_layer_runs(arcs, lanes, clock, matrix: MultiLayerMatrix) -> bool:
     Only integer matrices qualify: prefix sums would change the order of
     float additions. Otherwise the one a cost model says is cheaper, in µs,
     fitted to both on tours of 8-200 clients and 1-30 trials (2 vCPUs): an
-    arc step of the walk costs 5 numpy calls of about 1 µs and 9 ns a lane
-    (on average half the lanes still move), and a run step 18 calls and
-    100 ns a lane, after 20 calls of set-up. A lane takes one run step per
-    layer its tour reaches, plus one for a layer the move's detour reaches.
+    arc step of the walk costs about 6 µs and 2.5 ns a lane (on average half
+    the lanes still move), and a run step 12 µs and 33 ns a lane, after
+    40 µs of set-up. A lane takes one run step per layer its tour reaches,
+    plus one for a layer the move's detour reaches.
     """
     if matrix.times.dtype != np.int64:
         return False
     steps = min(matrix.n_layers, int(clock.max()) // matrix.step_seconds + 2)
-    return 20 + steps * (18 + lanes / 10) < arcs * (5 + lanes / 110)
+    return 40 + steps * (12 + lanes / 30) < arcs * (6 + lanes / 400)
 
 
 def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
@@ -204,7 +212,8 @@ def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
     layers = matrix.n_layers
     trials, size = paths.shape
     prefix = np.zeros((trials, layers, size), dtype=np.int64)
-    arcs = times[:, paths[:, :-1], paths[:, 1:]]  # (layers, trials, arcs)
+    own = paths[:, :-1] * matrix.n_nodes + paths[:, 1:]
+    arcs = times.reshape(layers, -1)[:, own]  # (layers, trials, arcs)
     np.cumsum(arcs.transpose(1, 0, 2), axis=2, out=prefix[:, :, 1:])
     # rows laid end to end, each past the one before by more than any
     # threshold reaches, so one searchsorted serves every (tour, layer) row

@@ -78,10 +78,11 @@ def _as_times_array(times) -> np.ndarray:
         raise InputError(f"times must be integer or float seconds, got dtype {arr.dtype}")
     arr = np.ascontiguousarray(arr, dtype=np.float64 if arr.dtype.kind == "f" else np.int64)
     # NaN fails the test too, and a uint64 past 2**63 - 1 has wrapped negative
-    bad = np.flatnonzero(~(arr >= 0))
+    bad = np.flatnonzero(~((arr >= 0) & (arr < np.inf)))
     if bad.size:
         s, i, j = np.unravel_index(bad[0], arr.shape)
-        raise InputError(f"travel times must be >= 0; times[{s}][{i}][{j}] = {arr[s, i, j]}")
+        rule = "be finite" if arr[s, i, j] == np.inf else "be >= 0"
+        raise InputError(f"travel times must {rule}; times[{s}][{i}][{j}] = {arr[s, i, j]}")
     arr.setflags(write=False)
     return arr
 
@@ -97,7 +98,8 @@ class MultiLayerMatrix:
     where they do not.
 
     Every matrix is checked here, whatever builds it: integer or float
-    times, each >= 0 (not NaN), and a positive integer step_seconds.
+    times, each >= 0 and finite (not NaN, not infinite), and a positive
+    integer step_seconds.
     """
 
     times: np.ndarray
@@ -244,25 +246,36 @@ def _arrivals(k, prev, nodes, matrix: MultiLayerMatrix) -> list:
     return arrivals
 
 
-def _advance(k, cur, steps, matrix: MultiLayerMatrix) -> np.ndarray:
+def _advance(k, arcs, matrix: MultiLayerMatrix) -> np.ndarray:
     """Walk a batch of lanes in lockstep; return their arrival times.
 
-    Lane r stands at node cur[r] at time k[r] (both may broadcast over
-    trailing axes). Each array in `steps` holds the next node of every lane
-    still moving; a lane finishes when its steps end, so each step covers a
-    leading slice of the lanes, never longer than the step before. Every arc
-    is priced on the layer of its lane's own departure and added in the
-    scalar walk's order, so integer and float sums match `_order_schedule`
-    bit for bit. `k` is advanced in place and returned.
+    Lane r starts at time k[r]. Each array in `arcs` holds the next arc of
+    every lane still moving, as a flat index origin * n + destination into
+    one layer (it may broadcast over trailing axes of `k`); a lane finishes
+    when its arcs end, so each step covers a leading slice of the lanes,
+    never longer than the step before. Every arc is priced on the layer of
+    its lane's own departure: layer s of arc a is entry s * n * n + a of the
+    flattened times, one `take` per step. A one-layer matrix prices every
+    departure on layer 0, so there the arc index is the entry. Each arc is
+    added in the scalar walk's order, so integer and float sums match
+    `_order_schedule` bit for bit. `k` is advanced in place and returned.
     """
-    times = matrix.times
+    flat = matrix.times.reshape(-1)
+    size = matrix.n_nodes**2
     step = matrix.step_seconds
     last = matrix.n_layers - 1
-    for nxt in steps:
-        lanes = k[: len(nxt)]
-        layer = np.minimum(lanes // step, last).astype(np.intp, copy=False)
-        lanes += times[layer, cur[: len(nxt)], nxt]
-        cur = nxt
+    for arc in arcs:
+        lanes = k[: len(arc)]
+        if last:
+            # clamp first: a float clock far past the horizon overflows intp
+            at = lanes // step
+            np.minimum(at, last, out=at)
+            at = at.astype(np.intp, copy=False)
+            at *= size
+            at += arc
+            lanes += flat.take(at)
+        else:
+            lanes += flat.take(arc)
     return k
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, pairwise, permutations
 
 import numpy as np
 
@@ -89,9 +89,11 @@ def brute_force_optimum(instance: Instance, matrix: MultiLayerMatrix) -> tuple[R
         rest = np.array(sorted(set(clients) - set(prefix)), dtype=np.intp)
         k = np.full(len(depot), _order_schedule(prefix, matrix).departures[-1],
                     dtype=matrix.times.dtype)
-        cur = np.array([prefix[-1] if prefix else 0], dtype=np.intp)
-        steps = chain((rest[column] for column in suffixes), [depot])
-        costs = _advance(k, cur, steps, matrix)
+        # arcs as flat indices, built one step at a time: a stacked array of
+        # every arc would add its size to the peak memory
+        start = [prefix[-1] if prefix else 0]
+        nodes = chain(start, (rest[column] for column in suffixes), [depot])
+        costs = _advance(k, (a * n + b for a, b in pairwise(nodes)), matrix)
         lane = int(np.argmin(costs))
         if best_cost is None or costs[lane] < best_cost:
             best_order = prefix + tuple(int(v) for v in rest[suffixes[:, lane]])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, MultiLayerMatrix
+from .model import Instance, MultiLayerMatrix, _integer
 
 EARTH_RADIUS_KM = 6371.0
 # travel times stay below this, so that two of them add up within int64
@@ -99,6 +99,7 @@ def generate_synthetic(
     Deterministic: the same (instance, n_layers, step_seconds, profile) always
     yields the same matrix.
     """
+    n_layers = _integer(n_layers, "n_layers")
     if n_layers < 1:
         raise InputError(f"need at least one layer, got {n_layers}")
     lats = np.array([n.lat for n in instance.nodes])

@@ -109,11 +109,15 @@ def test_plan_rejects_degenerate_sizes():
         ("start_epoch", START + 0.5),
         ("elements_per_request_limit", True),
         ("daily_quota", "100"),
+        # 4.0 and 2.0 once raised a bare TypeError from range(), and True planned one layer
+        ("n_nodes", 4.0),
+        ("n_layers", 2.0),
+        ("n_layers", True),
     ],
 )
 def test_plan_refuses_integer_arguments_that_are_not_integers(arg, value):
     with pytest.raises(InputError) as info:
-        plan_fetch(4, 2, **{"start_epoch": START, arg: value})
+        plan_fetch(**{"n_nodes": 4, "n_layers": 2, "start_epoch": START, arg: value})
     assert str(info.value) == f"{arg} must be an integer, got {value!r}"
 
 

@@ -12,6 +12,7 @@ many moves tie, and diagonals that are not zero (a walk must never read a
 self-arc).
 """
 
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -79,21 +80,39 @@ def test_lanes_from_any_start_slots_finish_at_the_tour_cost(data):
     matrix = data.draw(matrices())
     order = data.draw(tours(matrix))
     departures, total = _naive(order, matrix)
-    path = [0, *order, 0] if order else [0]
-    tail = np.array(path[1:], dtype=np.intp)
+    path = np.array([0, *order, 0] if order else [0], dtype=np.intp)
+    own = path[:-1] * matrix.n_nodes + path[1:]  # arc p as a flat index
     slots = sorted(data.draw(st.sets(st.integers(0, len(departures) - 1), min_size=1)))
     starts = np.array(slots, dtype=np.intp)
     k = np.array([departures[p] for p in slots], dtype=matrix.times.dtype)
-    cur = np.array([path[p] for p in slots], dtype=np.intp)
-    # the lane from slot p walks tail[p:]; later slots finish first
+    # the lane from slot p walks own[p:]; later slots finish first
     steps = []
-    for j in range(len(tail)):
-        moving = starts[starts + j < len(tail)]
+    for j in range(len(own)):
+        moving = starts[starts + j < len(own)]
         if len(moving) == 0:
             break
-        steps.append(tail[moving + j])
-    arrivals = _advance(k, cur, steps, matrix)
+        steps.append(own[moving + j])
+    arrivals = _advance(k, steps, matrix)
     assert _exact(arrivals) == _exact([total] * len(slots))
+
+
+def test_float_clocks_far_past_the_horizon_walk_on_the_last_layer():
+    # at a step of 1 s these clocks are layer numbers past 2**63: the layer
+    # must be clamped before it is cast to an integer index, or the cast
+    # overflows (a RuntimeWarning, an error in this suite)
+    rng = np.random.default_rng(12)
+    times = rng.integers(1, 2000, size=(3, 6, 6)) * 1e18 / 3.0
+    matrix = MultiLayerMatrix(times=times, step_seconds=1)
+    order = (3, 1, 5, 2, 4)
+    departures, total = _naive(order, matrix)
+    path = np.array([0, *order, 0], dtype=np.intp)
+    own = path[:-1] * matrix.n_nodes + path[1:]
+    k = np.array(departures, dtype=np.float64)  # one lane per slot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arrivals = _advance(k, (own[j:] for j in range(len(own))), matrix)
+    assert max(departures) > 2**63
+    assert _exact(arrivals) == _exact([total] * len(departures))
 
 
 def _finish(path, pos, k, matrix):

@@ -296,6 +296,15 @@ def test_travel_times_below_zero_are_refused(dtype, bad, rng):
         MultiLayerMatrix(times=times, step_seconds=1800)
 
 
+def test_infinite_travel_time_is_refused():
+    # evaluate_route once raised a bare ValueError on this matrix and
+    # matrix_to_json wrote the most negative int64 in its place
+    times = [[[0, np.inf, 5], [1, 0, 5], [5, 5, 0]]]
+    with pytest.raises(InputError) as info:
+        MultiLayerMatrix(times=times, step_seconds=60)
+    assert str(info.value) == "travel times must be finite; times[0][0][1] = inf"
+
+
 def test_time_that_priced_a_tour_below_zero_is_refused():
     # evaluate_route and brute_force_optimum once accepted this matrix: the
     # tour (1, 2, 3, 4, 5) left client 1 at -5000 s, priced on a wrapped

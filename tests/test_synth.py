@@ -113,3 +113,11 @@ def test_coincident_nodes_warn_but_generate():
     with pytest.warns(UserWarning, match="coincident"):
         m = generate_synthetic(inst, 1, 3600, TrafficProfile())
     assert m.times[0, 0, 1] == 0
+
+
+@pytest.mark.parametrize("n_layers", [2.0, True, "2"])
+def test_layer_count_must_be_an_integer(n_layers):
+    # 2.0 once raised a bare TypeError from range(), and True built one layer
+    with pytest.raises(InputError) as info:
+        generate_synthetic(grid_instance(4), n_layers, 60, TrafficProfile())
+    assert str(info.value) == f"n_layers must be an integer, got {n_layers!r}"

@@ -11,7 +11,10 @@ time-averaged one (seeds 0-1), the 100-client improvement-heavy parameters
 three 40-client integer matrices that take the solver's layer runs to their
 edges: one layer (every lane finishes in one run), four layers at a step of
 1 s (every departure past the horizon), and clients that share their
-location with the depot or another client (arcs of 0 s).
+location with the depot or another client (arcs of 0 s). Last, the exact
+optimum `brute_force_optimum` finds on five random 6-9-client matrices:
+layered integer and fractional ones, one with every departure past the
+horizon, a one-layer integer one and a time-averaged one (one float layer).
 
     PYTHONPATH=src python3 tools/fingerprint.py > fingerprint.txt
 """
@@ -27,6 +30,7 @@ import numpy as np
 from tdvrp.grasp import improve, run_grasp
 from tdvrp.instances import bundled_paris, random_instance
 from tdvrp.model import Instance, MultiLayerMatrix, SolverParams, average_matrix
+from tdvrp.oracle import brute_force_optimum
 from tdvrp.synth import TrafficProfile, generate_synthetic
 
 
@@ -109,9 +113,39 @@ def cases():
     yield "forty-coincident", coincident, params
 
 
+def oracle_cases():
+    draw = np.random.default_rng(2025)
+    for case, (clients, layers, step, kind) in enumerate([
+        (6, 3, 900, "int"),
+        (7, 4, 150, "fractional"),
+        (8, 3, 1, "int"),
+        (8, 1, 3600, "int"),
+        (9, 4, 900, "averaged"),
+    ]):
+        n = clients + 1
+        times = draw.integers(0, 2000, size=(layers, n, n))
+        matrix = MultiLayerMatrix(times=times / 3.0 if kind == "fractional" else times,
+                                  step_seconds=step)
+        if kind == "averaged":
+            matrix = average_matrix(matrix)
+        yield f"oracle-{case} {clients} clients {layers} layers {kind} step {step}", matrix
+
+
+def oracle_fingerprint(name, matrix: MultiLayerMatrix) -> list[str]:
+    route, schedule = brute_force_optimum(random_instance(matrix.n_nodes - 1), matrix)
+    return [
+        name,
+        f"  oracle tour {' '.join(str(v) for v in route.order)}",
+        f"  oracle cost {_num(schedule.total_cost)}",
+        f"  oracle departures {_nums(schedule.departures)}",
+    ]
+
+
 def main() -> None:
     for name, matrix, params in cases():
         print("\n".join(fingerprint(name, matrix, params)))
+    for name, matrix in oracle_cases():
+        print("\n".join(oracle_fingerprint(name, matrix)))
 
 
 if __name__ == "__main__":
