@@ -20,9 +20,11 @@ the wire; RecordedBackend reads its answer as one tile of its store.
 Elements are held in a dense store keyed by index: per departure epoch, an
 (n, n) int64 value layer and a boolean "known" mask. The cache file keeps its
 JSON-lines format (one {"o", "d", "t", "s"} record of four JSON integers per
-line); it is parsed a few thousand lines at a time into (o, d, t, s) rows
-and scattered into the store, a request is skipped when its tile is all
-known, and the matrix and the list of holes come straight from the arrays.
+line). Lines exactly as execute_fetch writes them are read in one numpy
+pass; any other file goes through a JSON parser a few thousand lines at a
+time, which names a bad line. The (o, d, t, s) rows are scattered into the
+store, a request is skipped when its tile is all known, and the matrix and
+the list of holes come straight from the arrays.
 
 Quota arithmetic counts full N*N rectangles per layer (the provider bills the
 whole cross product, self-pairs included); the useful element count skips
@@ -36,7 +38,9 @@ import itertools
 import json
 import operator
 import os
+import re
 import time
+import warnings
 from dataclasses import dataclass
 from math import ceil, isqrt
 
@@ -328,7 +332,21 @@ def _provider_grid(rows, n_rows: int, n_cols: int):
 #   {"o": origin_index, "d": destination_index, "t": departure_epoch, "s": seconds}
 # Every record ends with a newline, so an unterminated last line is a write
 # cut short by a crash: readers skip it and the next fetch cuts it off.
+#
+# _RECORD is the one definition of a line as the package writes it. A file
+# of such lines only is read in one pass (_parse_written); any other file,
+# with blank lines, other spacing or key order, or a bad line, goes through
+# the JSON parser (_parse_lines), the only path that names a bad line. A new
+# record kind needs its own one-pass form, or every file holding one takes
+# the JSON path.
 
+_RECORD = '{"o": %d, "d": %d, "t": %d, "s": %d}\n'
+_SKELETON = _RECORD.replace("%d", "")
+_DROP_NUMBERS = str.maketrans("", "", "0123456789-")
+_BLANK_SKELETON = str.maketrans(dict.fromkeys(_SKELETON, " "))
+_MINUS_NOT_BEFORE_DIGIT = re.compile("-(?![0-9])")
+_POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
+_INT64 = np.iinfo(np.int64)
 _RECORD_FIELDS = {key: operator.itemgetter(key) for key in "odts"}
 _BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
 _CHUNK_LINES = 4096  # lines parsed together, so the parsed dicts stay few
@@ -342,12 +360,18 @@ def read_cache_file(path) -> np.ndarray:
     """Cache records as an (m, 4) int64 array of (o, d, t, s) rows, in file order.
 
     Each whole line that is not blank must hold one record of four JSON
-    integers. The lines are parsed _CHUNK_LINES at a time, each chunk by one
-    json.loads of its joined lines; when that fails, the same parse is run
-    line by line over the chunk to name the first bad line. A file that
-    cannot be read is an InputError.
+    integers. A file whose every line is as execute_fetch writes it is read
+    in one pass. Any other file is parsed _CHUNK_LINES lines at a time, each
+    chunk by one json.loads of its joined lines; when that fails, the same
+    parse is run line by line over the chunk to name the first bad line. A
+    file that cannot be read is an InputError.
     """
-    lines = _read_text(path).split("\n")[:-1]  # the last piece is "" or a torn record
+    text = _read_text(path)
+    text = text[: text.rfind("\n") + 1]  # what follows the last newline is a torn record
+    rows = _parse_written(text)
+    if rows is not None:
+        return rows
+    lines = text.split("\n")[:-1]
     columns = [np.empty((4, 0), dtype=np.int64)]
     for start in range(0, len(lines), _CHUNK_LINES):
         chunk = lines[start : start + _CHUNK_LINES]
@@ -362,6 +386,41 @@ def read_cache_file(path) -> np.ndarray:
             raise  # not reached: lines that each parse alone also parse joined
     # filled a field at a time, so the rows are a view of (4, m) columns
     return np.concatenate(columns, axis=1).T
+
+
+def _parse_written(text):
+    """The rows of `text` as an (m, 4) array if it is m lines of _RECORD,
+    each value as %d writes it, else None.
+
+    With digits and "-" deleted the text must be the skeleton m times. No
+    value may be empty and every "-" must be followed by a digit, so each
+    value is one number of the form -?[0-9]+ and the numbers sit nowhere
+    else; with the skeleton blanked, numpy must then read exactly 4m of
+    them. Their %d widths must add up to the digits and signs of the text,
+    which rules out leading zeros and "-0", and none may be an int64 limit,
+    which is what numpy makes of an overflow.
+    """
+    m = text.count("\n")
+    if text.translate(_DROP_NUMBERS) != _SKELETON * m:
+        return None
+    # an empty value leaves the space of ": " right before "," or "}"
+    if " ," in text or " }" in text or _MINUS_NOT_BEFORE_DIGIT.search(text):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x warns where 2.x raises on text it cannot read to the end
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text.translate(_BLANK_SKELETON), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(values) != 4 * m or _INT64.min in values or _INT64.max in values:
+        return None
+    # a value has one digit more than the powers of ten it reaches, and a sign if negative
+    width = np.searchsorted(_POWERS_OF_TEN, np.abs(values), side="right").sum()
+    width += len(values) + np.count_nonzero(values < 0)
+    if width != len(text) - len(_SKELETON) * m:
+        return None
+    return values.reshape(-1, 4)
 
 
 def _parse_lines(lines) -> np.ndarray:
@@ -443,11 +502,9 @@ def execute_fetch(
             known[req.layer][tile] |= answered
             if cache_fh is not None:
                 a, b = np.nonzero(answered)
-                t = req.departure_time
-                cache_fh.writelines(
-                    f'{{"o": {o}, "d": {d}, "t": {t}, "s": {s}}}\n'
-                    for o, d, s in zip(rows[a, 0].tolist(), cols[b].tolist(), got[a, b].tolist())
-                )
+                t = np.full(len(a), req.departure_time)
+                cells = np.column_stack([rows[a, 0], cols[b], t, got[a, b]])
+                cache_fh.write(_RECORD * len(a) % tuple(cells.ravel().tolist()))
                 cache_fh.flush()
     finally:
         if cache_fh is not None:

@@ -259,6 +259,26 @@ def test_fetch_unreadable_recorded_fixture_is_input_error(tmp_path, capsys):
     assert "quota usage" not in captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--recorded", "--cache", "--matrix", "--instance", "--result"])
+def test_file_that_is_not_utf8_is_an_input_error(option, small_setup, tmp_path, capsys):
+    _, inst_path, _, matrix_path = small_setup
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b'\xff{"o": 0, "d": 1, "t": 1700000000, "s": 60}\n')
+    out = tmp_path / "out.json"
+    argv = {
+        "--recorded": ["fetch", "--instance", inst_path, "--layers", "1",
+                       "--backend", "recorded", "--recorded", bad],
+        "--cache": ["fetch", "--instance", inst_path, "--layers", "1", "--cache", bad],
+        "--matrix": ["solve", "--instance", inst_path, "--matrix", bad, *FAST],
+        "--instance": ["solve", "--instance", bad, "--matrix", matrix_path, *FAST],
+        "--result": ["export-geojson", "--result", bad, "--instance", inst_path],
+    }[option]
+    assert main([str(arg) for arg in argv + ["--out", out]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ") and "can't decode byte 0xff" in err
+    assert not out.exists()
+
+
 def test_fetch_incomplete_recording_is_backend_error(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["gen-instance", "--clients", "3", "--out", str(inst_path)])

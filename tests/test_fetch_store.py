@@ -4,7 +4,10 @@ read_cache_file, RecordedBackend and execute_fetch hold elements in index-keyed
 numpy layers. Each is checked here against a straightforward dict keyed on
 (origin, destination, departure_epoch): random element subsets, repeated keys
 with different values, epochs off the plan's grid, negative and out-of-range
-indices, self-pairs, blank lines and a torn last line.
+indices, self-pairs, blank lines and a torn last line. read_cache_file's one
+pass over lines as execute_fetch writes them is checked against the same
+line-by-line reading, over the whole int64 range and with one line swapped
+for a valid or bad variant the pass must leave to the JSON parser.
 """
 
 import json
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdvrp import fetch
 from tdvrp.errors import IncompleteMatrixError, InputError
 from tdvrp.fetch import RecordedBackend, execute_fetch, plan_fetch, read_cache_file
 
@@ -26,13 +30,31 @@ def _line(o, d, t, s):
     return json.dumps({"o": o, "d": d, "t": t, "s": s}) + "\n"
 
 
+class BadLine(Exception):
+    def __init__(self, lineno):
+        super().__init__(f"bad cache line {lineno}")
+        self.lineno = lineno
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not an integer")
+
+
 def reference_rows(text):
-    """Rows of a cache text, one whole line at a time, as the format defines."""
+    """Rows of a cache text, one whole line at a time, as the format defines:
+    each line that is not blank holds an "o", "d", "t" and "s" that are JSON
+    integers in the int64 range. The first line that does not raises BadLine."""
     rows = []
-    for line in text.split("\n")[:-1]:
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         if line.strip():
-            rec = json.loads(line)
-            rows.append((rec["o"], rec["d"], rec["t"], rec["s"]))
+            try:
+                rec = json.loads(line, parse_float=_refuse, parse_constant=_refuse)
+                row = tuple(rec[key] for key in "odts")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise BadLine(lineno) from exc
+            if any(type(v) is not int or not -(2**63) <= v < 2**63 for v in row):
+                raise BadLine(lineno)
+            rows.append(row)
     return rows
 
 
@@ -258,3 +280,115 @@ def test_torn_last_line_past_the_first_chunk_is_skipped(tmp_path):
     path.write_text(text + _line(1, 2, START, 7)[:9], encoding="utf-8")
     got = read_cache_file(path)
     assert got.dtype == np.int64 and got.tolist() == [list(r) for r in rows]
+
+
+# --- the one-pass read of written lines ---------------------------------------
+
+_ANY = '{"o": %s, "d": %s, "t": %s, "s": %s}\n'
+
+# One line of a written cache swapped for a valid line the package does not
+# write, which the JSON parser reads, or a bad line, which it names.
+VARIANTS = {
+    "leading zero": lambda o, d, t, s: _ANY % ("0%d" % abs(o), d, t, s),
+    "minus zero": lambda o, d, t, s: _ANY % ("-0", d, t, s),
+    "lone minus": lambda o, d, t, s: _ANY % ("-", d, t, s),
+    "double minus": lambda o, d, t, s: _ANY % ("--1", d, t, s),
+    "minus inside a value": lambda o, d, t, s: _ANY % ("1-2", d, t, s),
+    "empty value": lambda o, d, t, s: _ANY % ("", d, t, s),
+    "2**63": lambda o, d, t, s: _ANY % (o, d, t, 2**63),
+    "19-digit overflow": lambda o, d, t, s: _ANY % (o, d, t, 10**19 - 1),
+    "20 digits": lambda o, d, t, s: _ANY % (o, d, t, 10**19),
+    "other key order": lambda o, d, t, s: '{"d": %d, "o": %d, "t": %d, "s": %d}\n' % (d, o, t, s),
+    "compact separators": lambda *row: '{"o":%d,"d":%d,"t":%d,"s":%d}\n' % row,
+    "extra key": lambda *row: '{"o": %d, "d": %d, "t": %d, "s": %d, "x": 1}\n' % row,
+    "digit in a key": lambda *row: '{"o1": %d, "d": %d, "t": %d, "s": %d}\n' % row,
+    "minus before a key": lambda *row: '{"o": %d, -"d": %d, "t": %d, "s": %d}\n' % row,
+    "blank line": lambda *row: "\n",
+    "whitespace-only line": lambda *row: " \t \n",
+    "CRLF ending": lambda *row: (_ANY % row)[:-1] + "\r\n",
+    "7.0": lambda o, d, t, s: _ANY % (o, d, t, "7.0"),
+    "two records on one line": lambda *row: (_ANY % row)[:-1] + ", " + _ANY % row,
+    "digit after the record": lambda *row: (_ANY % row)[:-1] + "5\n",
+    "empty value, digit after the record": lambda o, d, t, s: (_ANY % ("", d, t, s))[:-1] + "5\n",
+}
+
+int64s = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, 2**63 - 1, -(2**63)])
+# the int64 limits send a whole file to the JSON parser, so that the one pass,
+# not the limits, meets each variant
+inner_int64s = st.integers(-(2**63) + 1, 2**63 - 2)
+
+
+def assert_read_as_reference(path, text):
+    """read_cache_file(path) gives the reference rows of text, or names the
+    same bad line."""
+    try:
+        want = reference_rows(text)
+    except BadLine as bad:
+        with pytest.raises(InputError, match=f"bad cache line {bad.lineno} in "):
+            read_cache_file(path)
+    else:
+        got = read_cache_file(path)
+        assert got.dtype == np.int64 and got.shape == (len(want), 4)
+        assert got.tolist() == [list(r) for r in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(int64s, int64s, int64s, int64s), max_size=12), data=st.data())
+def test_written_lines_read_as_line_by_line_reading(tmp_path_factory, rows, data):
+    text = "".join(fetch._RECORD % row for row in rows)
+    if rows and data.draw(st.booleans()):
+        whole = fetch._RECORD % rows[0]
+        text += whole[: data.draw(st.integers(1, len(whole) - 1))]  # a torn tail
+    path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert_read_as_reference(path, text)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=25, deadline=None)
+@given(rows=st.lists(st.tuples(*[inner_int64s] * 4), min_size=1, max_size=8), data=st.data())
+def test_one_unusual_line_reads_as_line_by_line_reading(tmp_path_factory, variant, rows, data):
+    lines = [fetch._RECORD % row for row in rows]
+    index = data.draw(st.integers(0, len(rows) - 1))
+    lines[index] = VARIANTS[variant](*rows[index])
+    path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert_read_as_reference(path, "".join(lines))
+
+
+def test_lines_execute_fetch_writes_are_read_in_one_pass(tmp_path, monkeypatch):
+    n = 4
+    inst = grid_instance(n)
+    plan = plan_fetch(n, 2, step_seconds=STEP, start_epoch=START, elements_per_request_limit=5)
+    odd = {(0, 1): -7, (1, 2): 10**18 + 3, (2, 3): -(10**18), (3, 0): 2**63 - 2}
+    recorded = [
+        (o, d, START + layer * STEP, odd.get((o, d), 60 + 7 * o + d))
+        for layer in range(2)
+        for o in range(n)
+        for d in range(n)
+        if o != d and (layer, o, d) != (1, 2, 1)  # a hole
+    ]
+    path = tmp_path / "cache.jsonl"
+    with pytest.raises(IncompleteMatrixError):
+        execute_fetch(plan, RecordedBackend(inst, recorded), inst, cache_path=path)
+    # byte for byte the lines an f-string per element writes
+    values = {(o, d, t): s for o, d, t, s in recorded}
+    want = "".join(
+        f'{{"o": {o}, "d": {d}, "t": {t}, "s": {values[o, d, t]}}}\n'
+        for req in plan.requests
+        for t in [req.departure_time]
+        for o in req.origin_indices
+        for d in req.destination_indices
+        if (o, d, t) in values
+    )
+    assert path.read_text(encoding="utf-8") == want
+
+    calls = []
+    parse_lines = fetch._parse_lines
+    monkeypatch.setattr(fetch, "_parse_lines", lambda lines: calls.append(lines) or parse_lines(lines))
+    assert read_cache_file(path).tolist() == [list(r) for r in reference_rows(want)]
+    assert calls == []
+    # the spy sees the JSON parser: a blank line sends the file there
+    path.write_text("\n" + want, encoding="utf-8")
+    assert read_cache_file(path).tolist() == [list(r) for r in reference_rows(want)]
+    assert calls
