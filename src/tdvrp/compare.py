@@ -22,7 +22,7 @@ class CompareRow:
     seed: int
     cost_multi_layer: int | float  # tour optimized and priced on the layered matrix
     cost_classical: int | float  # averaged-matrix tour, re-priced on the layers
-    gap_percent: float  # 100 * (c_ml - c_2d) / c_2d
+    gap_percent: float  # 100 * (c_ml - c_2d) / c_2d, or 0.0 when both are 0
     cost_classical_own: float  # averaged-matrix tour under its own matrix
 
 
@@ -57,7 +57,9 @@ def run_compare(
         baseline = solve(instance, averaged, run_params)
         c_ml = layered.best_schedule.total_cost
         c_2d = evaluate_route(baseline.best_route, matrix).total_cost
-        gap = 100.0 * (c_ml - c_2d) / c_2d
+        if c_ml and not c_2d:
+            raise InputError(f"seed {run_params.seed}: the averaged tour costs 0 s; gap undefined")
+        gap = 100.0 * (c_ml - c_2d) / c_2d if c_2d else 0.0
         rows.append(
             CompareRow(
                 seed=run_params.seed,

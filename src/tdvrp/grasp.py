@@ -16,21 +16,22 @@ the edited slot on, with the scalar walk `model._arrivals`.
 
 Every candidate is priced on the whole tour it would make: in a
 time-dependent matrix an insertion or deletion shifts all downstream
-departure times, so local two-arc arithmetic would be wrong. Each candidate
-starts from the kept clock at its slot and only re-walks the rest of the
-tour, and all candidates of one move advance together: one array step per
-arc (`model._advance`), or, on an integer matrix, one step per layer run
-(`_layer_runs`). The walk names every arc by its flat index
-origin * n + destination, built once per move, so an arc step is one `take`
-from the flattened layers; on a one-layer matrix, such as the averaged
-baseline, a step skips the layer lookup. Within one layer a tour's arc times
-are fixed, so a prefix sum per layer of each priced tour carries a candidate
+departure times, so local two-arc arithmetic would be wrong. One rejoin walk
+(`_rejoin`) prices both: each candidate leaves the kept clock at its slot,
+drives its detour (into and out of the new node, or past the deleted one)
+and re-walks only the rest of the tour. All candidates of one move advance
+together: one array step per arc (`model._advance`), or, on an integer
+matrix, one step per layer run (`_layer_runs`). The walk names every arc by
+its flat index origin * n + destination, so an arc step is one `take` from
+the flattened layers; on a one-layer matrix, such as the averaged baseline,
+a step skips the layer lookup. Within one layer a tour's arc times are
+fixed, so a prefix sum per layer of each priced tour carries a candidate
 across every arc it leaves within its current layer at once; each step takes
 it to a later layer or to the depot. Integer sums are exact, so both give the
-same bits, and a cost model (`_by_layer_runs`) picks the cheaper per move.
-Float matrices are always walked arc by arc: prefix sums would change the
-order of float additions. Prefix sums are monotone: MultiLayerMatrix refuses
-negative times.
+same bits; `_rejoin` alone asks a cost model (`_by_layer_runs`) which is
+cheaper. Float matrices are always walked arc by arc: prefix sums would
+change the order of float additions. Prefix sums are monotone:
+MultiLayerMatrix refuses negative times.
 
 The n_grasp construction trials grow in lockstep: after m insertions every
 trial has m clients placed and the same number left, so one walk prices the
@@ -125,54 +126,52 @@ def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix) -> np.ndarr
 
     Row t of `paths` and `clock` is the tour state of trial t, and row t of
     `nodes` the clients it may take. Every tour has the same length. Lane
-    (p, t, j) leaves paths[t][p] at clock[t][p], drives to nodes[t][j] and
-    then walks paths[t][p + 1:] back to the depot.
+    (p, t, j) leaves paths[t][p], visits nodes[t][j] and rejoins at paths[t][p + 1].
     """
     paths = np.asarray(paths, dtype=np.intp)
     clock = np.asarray(clock, dtype=matrix.times.dtype)
     nodes = np.asarray(nodes, dtype=np.intp)
-    n = matrix.n_nodes
-    slots = paths.shape[1] - 1
-    k = np.repeat(clock[:, :-1].T[:, :, None], nodes.shape[1], axis=2)
     # the arcs into and out of each new node, as flat indices
-    into = paths[:, :-1].T[:, :, None] * n + nodes
-    out = nodes * n + paths[:, 1:].T[:, :, None]
-    if _by_layer_runs(1 + slots, k.size, clock, matrix):
-        _advance(k, [into, out], matrix)
-        pos = np.arange(1, slots + 1)[:, None, None]
-        k = _layer_runs(paths, k, np.arange(len(paths))[:, None], pos, matrix)
-    else:
-        # the tour's own arcs, slot-major: lane p takes own[p + j] at step j
-        own = (paths[:, :-1] * n + paths[:, 1:]).T.copy()[:, :, None]
-        k = _advance(k, chain([into, out], (own[j:] for j in range(1, slots))), matrix)
-    return k - clock[:, -1, None]
+    into = paths[:, :-1].T[:, :, None] * matrix.n_nodes + nodes
+    out = nodes * matrix.n_nodes + paths[:, 1:].T[:, :, None]
+    return _rejoin(paths, clock, [into, out], 1, matrix) - clock[:, -1, None]
 
 
 def _deletion_savings(paths, clock, matrix: MultiLayerMatrix) -> np.ndarray:
-    """Cost saved by deleting each client of each trial's tour, as a
-    (clients x trials) grid.
+    """Cost saved by deleting each client of each trial's tour, as a (clients x trials) grid.
 
     Row t of `paths` and `clock` is the tour state of trial t. Every tour has
-    the same length. Lane (idx, t) leaves paths[t][idx] at clock[t][idx] and
-    walks paths[t][idx + 2:] back to the depot.
+    the same length. Lane (i, t) leaves paths[t][i] and rejoins at paths[t][i + 2].
     """
-    # lane-major copies: the walk indexes contiguous arrays much faster
-    paths = np.asarray(paths, dtype=np.intp).T.copy()
-    clock = np.asarray(clock, dtype=matrix.times.dtype).T.copy()
-    if len(paths) == 3:
+    paths = np.asarray(paths, dtype=np.intp)
+    clock = np.asarray(clock, dtype=matrix.times.dtype)
+    if paths.shape[1] == 3:
         # each tour left is empty and costs 0; there is no arc to walk
-        return clock[-1:]
-    n = matrix.n_nodes
-    # the arc that skips each client, then the tour's own arcs from idx + 1
-    skip = paths[:-2] * n + paths[2:]
-    if _by_layer_runs(len(skip), skip.size, clock, matrix):
-        k = _advance(clock[:-2], [skip], matrix)
-        pos = np.arange(2, len(paths))[:, None]
-        k = _layer_runs(paths.T, k, np.arange(skip.shape[1]), pos, matrix)
-    else:
-        own = paths[1:-1] * n + paths[2:]  # lane idx takes own[idx + j] at step j
-        k = _advance(clock[:-2], chain([skip], (own[j:] for j in range(1, len(own)))), matrix)
-    return clock[-1] - k
+        return clock[:, -1:].T
+    # the arc that skips each client, lane-major: the walk reads contiguous arrays faster
+    skip = (paths[:, :-2] * matrix.n_nodes + paths[:, 2:]).T.copy()[:, :, None]
+    return clock[:, -1] - _rejoin(paths, clock, [skip], 2, matrix)[:, :, 0]
+
+
+def _rejoin(paths, clock, detour, first, matrix: MultiLayerMatrix) -> np.ndarray:
+    """Depot arrival times of lanes that leave their tour, take a detour and rejoin it.
+
+    Lane (i, t, j) leaves paths[t][i] at clock[t][i], drives one arc from each
+    (size - first, trials, j) array of flat indices in `detour`, then drives
+    tour t from position i + first back to the depot, by layer runs or by the
+    arc walk, whichever `_by_layer_runs` picks.
+    """
+    trials, size = paths.shape
+    k = np.repeat(clock.T[: size - first, :, None], detour[0].shape[2], axis=2)
+    # lane 0 drives the most arcs: the detour, then the tour from position first
+    if _by_layer_runs(len(detour) + size - 1 - first, k.size, clock, matrix):
+        _advance(k, detour, matrix)
+        pos = np.arange(first, size)[:, None, None]
+        return _layer_runs(paths, k, np.arange(trials)[:, None], pos, matrix)
+    # the tour's own arcs, position-major: lane i takes own[i + first + j] at walk step j
+    own = (paths[:, :-1] * matrix.n_nodes + paths[:, 1:]).T.copy()[:, :, None]
+    walk = (own[first + j :] for j in range(size - 1 - first))
+    return _advance(k, chain(detour, walk), matrix)
 
 
 def _by_layer_runs(arcs, lanes, clock, matrix: MultiLayerMatrix) -> bool:

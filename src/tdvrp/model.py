@@ -53,10 +53,6 @@ class Instance:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def clients(self) -> range:
-        return range(1, len(self.nodes))
-
     def coordinates(self) -> list[tuple[float, float]]:
         return [(n.lat, n.lon) for n in self.nodes]
 
@@ -354,22 +350,19 @@ def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
     diag = int((arr[:, range(n), range(n)] != 0).sum())
 
     # excess[i, j, k] = t(i,k) - t(i,j) - t(j,k), over blocks of origin rows i
-    # so temporaries stay near _VALIDATE_BLOCK elements. Triples with a
-    # repeated node are zeroed, so every positive entry is a violation.
+    # so temporaries stay near _VALIDATE_BLOCK elements. Each layer is scanned
+    # with a zero diagonal, where a triple with a repeated node has excess
+    # <= 0 (no time is negative), so every positive entry is a violation.
     rows = max(1, _VALIDATE_BLOCK // (n * n))
-    idx = np.arange(n)
     layers = []
     for s in range(matrix.n_layers):
-        d = arr[s]
+        d = arr[s].copy()
+        np.fill_diagonal(d, 0)
         count, worst = 0, 0
         for i0 in range(0, n, rows):
-            i = idx[i0 : i0 + rows]
-            excess = d[i, None, :] - d[i, :, None]
-            excess -= d[None, :, :]
-            b = np.arange(len(i))
-            excess[b, i, :] = 0
-            excess[b, :, i] = 0
-            excess[:, idx, idx] = 0
+            block = d[i0 : i0 + rows]
+            excess = block[:, None, :] - block[:, :, None]
+            excess -= d
             count += int((excess > 0).sum())
             worst = max(worst, excess.max().item())
         layers.append(LayerReport(s, count, worst))
@@ -390,8 +383,13 @@ def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
 
 def matrix_to_json(matrix: MultiLayerMatrix) -> str:
     times = matrix.times
-    if np.issubdtype(times.dtype, np.floating):
-        times = np.rint(times).astype(np.int64)
+    if times.dtype.kind == "f":  # refuse a fraction rather than round it away
+        bad = np.flatnonzero((times != np.floor(times)) | (times >= 2.0**63))
+        if bad.size:
+            s, i, j = np.unravel_index(bad[0], times.shape)
+            v = times[s, i, j]
+            raise InputError(f"matrix files hold int64 seconds, not times[{s}][{i}][{j}] = {v}")
+        times = times.astype(np.int64)
     doc = {
         "version": 1,
         "n_nodes": matrix.n_nodes,

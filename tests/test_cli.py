@@ -1,10 +1,14 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from tdvrp import compare
 from tdvrp.cli import main
 from tdvrp.model import (
+    Route,
+    Schedule,
     SolverParams,
     load_matrix,
     matrix_to_json,
@@ -126,6 +130,30 @@ def test_compare_identical_layers_gap_is_zero(tmp_path, rng, capsys):
     for line in rows[1:]:
         assert line.split(",")[3] == "0.000"
     assert "+0.000%" in capsys.readouterr().out
+
+
+def _compare_on_zero_matrix(tmp_path):
+    # 3 clients on an all-zero 2-layer matrix: every tour costs 0 s
+    inst_path, matrix_path = tmp_path / "inst.json", tmp_path / "matrix.json"
+    save_instance(grid_instance(4), inst_path)
+    save_matrix(make_matrix(np.zeros((2, 4, 4), dtype=np.int64), 1800), matrix_path)
+    return ["compare", "--instance", str(inst_path), "--matrix", str(matrix_path),
+            "--seeds", "1", "--seed", "5", *FAST]
+
+
+def test_compare_gap_is_zero_when_both_tours_are_free(tmp_path, capsys):
+    assert main(_compare_on_zero_matrix(tmp_path)) == 0
+    assert "+0.000%" in capsys.readouterr().out
+
+
+def test_compare_refuses_a_gap_to_a_free_baseline(tmp_path, capsys, monkeypatch):
+    # the layered tour costs 60 s while the averaged one costs 0 s: no percentage exists
+    layered = SimpleNamespace(best_route=Route((1, 2, 3)), best_schedule=Schedule((0, 20, 40), 60))
+    averaged = SimpleNamespace(best_route=Route((3, 2, 1)), best_schedule=Schedule((0, 0, 0), 0))
+    monkeypatch.setattr(compare, "solve", lambda _, m, __: layered if m.n_layers == 2 else averaged)
+    monkeypatch.setattr(compare, "evaluate_route", lambda route, _: averaged.best_schedule)
+    assert main(_compare_on_zero_matrix(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: seed 5: the averaged tour costs 0 s")
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

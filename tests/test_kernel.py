@@ -2,7 +2,8 @@
 
 `model._advance` prices many tours at once, each lane starting from a cached
 departure part-way along a tour, and `grasp._layer_runs` finishes lanes on
-their own tour one layer run at a time. These properties check both, the
+their own tour one layer run at a time. These properties check both, that
+they price every move alike whichever one the cost model would pick, the
 tour edits that keep a clock, and the move pricing, lockstep construction,
 speculative improvement rounds and exhaustive search built on them, against
 `naive_departures` and plain one-at-a-time loops on random tours, start
@@ -43,12 +44,12 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def matrices(draw, min_nodes=2, max_nodes=8):
+def matrices(draw, min_nodes=2, max_nodes=8, integer=False):
     """A random matrix; a short step sends many departures past the horizon."""
     n = draw(st.integers(min_nodes, max_nodes))
     n_layers = draw(st.integers(1, 4))
     step = draw(st.sampled_from([1, 7, 150, 900, 3600]))
-    fractional = draw(st.booleans())
+    fractional = not integer and draw(st.booleans())
     high = draw(st.sampled_from([4, 2000]))  # 4: ties everywhere
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # the diagonal stays random: no tour walk may ever read it
@@ -286,6 +287,46 @@ def test_deleting_the_only_client_leaves_a_free_empty_tour(data):
     savings = _deletion_savings([p for p, _ in states], [c for _, c in states], matrix)
     assert savings.shape == (1, len(clients))
     assert _exact(savings[0]) == _exact([clock[-1] for _, clock in states])
+
+
+def _both_branches(price):
+    """The grid `price()` returns with every move priced by layer runs, then
+    with every move walked arc by arc, whatever the cost model would pick."""
+    grids = []
+    for runs in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grasp, "_by_layer_runs", lambda *_: runs)
+            grids.append(price())
+    return grids
+
+
+@SETTINGS
+@given(data=st.data())
+def test_layer_runs_and_the_walk_price_every_move_alike(data):
+    # rows of equal-length tours on integer matrices; the grids of small
+    # moves are rarely priced by layer runs unless forced to be
+    matrix = data.draw(matrices(max_nodes=10, integer=True))
+    clients = list(range(1, matrix.n_nodes))
+    size = data.draw(st.integers(0, len(clients)))
+    orders = [
+        tuple(data.draw(st.permutations(clients))[:size])
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    states = [_state(order, matrix) for order in orders]
+    paths, clocks = [p for p, _ in states], [c for _, c in states]
+    free = [sorted(set(clients) - set(order)) for order in orders]
+    moves = []
+    if size:
+        moves.append(lambda: _deletion_savings(paths, clocks, matrix))
+    if free[0]:
+        # a construction step (every free node) and a one-node reinsertion
+        moves.append(lambda: _insertion_deltas(paths, clocks, free, matrix))
+        moves.append(lambda: _insertion_deltas(paths, clocks, [f[:1] for f in free], matrix))
+    for price in moves:
+        runs, walk = _both_branches(price)
+        assert runs.dtype == walk.dtype == np.int64
+        assert runs.shape == walk.shape
+        assert runs.tolist() == walk.tolist()
 
 
 # --- lockstep construction ---------------------------------------------------

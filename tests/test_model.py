@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -362,6 +363,28 @@ def test_matrix_json_round_trip(rng):
     assert np.array_equal(again.times, m.times)
     assert again.step_seconds == m.step_seconds
     assert matrix_to_json(again) == text
+
+
+@pytest.mark.parametrize(
+    "times, entry",
+    [
+        ([[[0, 1.5, 2.5], [2.5, 0, 0.5], [1, 3.5, 0]]], "times[0][0][1] = 1.5"),
+        ([[[0, 1.0], [2.0**63, 0]]], "times[0][1][0] = 9.223372036854776e+18"),
+    ],
+)
+def test_matrix_json_refuses_a_time_it_cannot_write_exactly(times, entry):
+    # saving an averaged matrix must not write another matrix than it holds
+    m = MultiLayerMatrix(times=times, step_seconds=3600)
+    with pytest.raises(InputError, match=re.escape(entry) + "$"):
+        matrix_to_json(m)
+
+
+def test_matrix_json_writes_whole_float_times_as_integers(rng):
+    layer = random_layers(rng, 4, 1)[0]
+    avg = average_matrix(make_matrix([layer, layer], 1800))  # float means, all whole
+    text = matrix_to_json(avg)
+    assert text == matrix_to_json(make_matrix([layer], avg.step_seconds))
+    assert np.array_equal(matrix_from_json(text).times, avg.times)
 
 
 def test_matrix_json_ignores_a_legacy_closed_flag():
