@@ -14,7 +14,14 @@ from dataclasses import dataclass, replace
 
 from .errors import InputError
 from .grasp import solve
-from .model import Instance, MultiLayerMatrix, SolverParams, average_matrix, evaluate_route
+from .model import (
+    Instance,
+    MultiLayerMatrix,
+    SolverParams,
+    _integer,
+    average_matrix,
+    evaluate_route,
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,7 @@ def run_compare(
     instance: Instance, matrix: MultiLayerMatrix, params: SolverParams, n_seeds: int
 ) -> CompareReport:
     """One CompareRow per seed params.seed, params.seed+1, ..."""
+    n_seeds = _integer(n_seeds, "n_seeds")
     if n_seeds < 1:
         raise InputError(f"need at least one seed, got {n_seeds}")
     averaged = average_matrix(matrix)

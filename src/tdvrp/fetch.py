@@ -21,10 +21,10 @@ Elements are held in a dense store keyed by index: per departure epoch, an
 (n, n) int64 value layer and a boolean "known" mask. The cache file keeps its
 JSON-lines format (one {"o", "d", "t", "s"} record of four JSON integers per
 line). Lines exactly as execute_fetch writes them are read in one numpy
-pass; any other file goes through a JSON parser a few thousand lines at a
-time, which names a bad line. The (o, d, t, s) rows are scattered into the
-store, a request is skipped when its tile is all known, and the matrix and
-the list of holes come straight from the arrays.
+pass; any other file goes through a JSON parser one line at a time, which
+names a bad line. The (o, d, t, s) rows are scattered into the store, a
+request is skipped when its tile is all known, and the matrix and the list
+of holes come straight from the arrays.
 
 Quota arithmetic counts full N*N rectangles per layer (the provider bills the
 whole cross product, self-pairs included); the useful element count skips
@@ -34,9 +34,7 @@ on the plan.
 
 from __future__ import annotations
 
-import itertools
 import json
-import operator
 import os
 import re
 import time
@@ -110,6 +108,7 @@ class QuotaBudget:
 
 def max_nodes_single_day(n_layers: int, daily_quota: int) -> int:
     """Largest N whose full fetch (n_layers * N^2 billed elements) fits in one day."""
+    n_layers, daily_quota = _integer(n_layers, "n_layers"), _integer(daily_quota, "daily_quota")
     if n_layers < 1 or daily_quota < 1:
         raise InputError("need at least one layer and a positive quota")
     return isqrt(daily_quota // n_layers)
@@ -335,10 +334,10 @@ def _provider_grid(rows, n_rows: int, n_cols: int):
 #
 # _RECORD is the one definition of a line as the package writes it. A file
 # of such lines only is read in one pass (_parse_written); any other file,
-# with blank lines, other spacing or key order, or a bad line, goes through
-# the JSON parser (_parse_lines), the only path that names a bad line. A new
-# record kind needs its own one-pass form, or every file holding one takes
-# the JSON path.
+# with blank lines, other spacing or key order, or a bad line, is parsed one
+# line at a time by json.loads (_parse_lines), the only path that names a bad
+# line. A new record kind needs its own one-pass form, or every file holding
+# one takes that far slower path.
 
 _RECORD = '{"o": %d, "d": %d, "t": %d, "s": %d}\n'
 _SKELETON = _RECORD.replace("%d", "")
@@ -347,13 +346,6 @@ _BLANK_SKELETON = str.maketrans(dict.fromkeys(_SKELETON, " "))
 _MINUS_NOT_BEFORE_DIGIT = re.compile("-(?![0-9])")
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
 _INT64 = np.iinfo(np.int64)
-_RECORD_FIELDS = {key: operator.itemgetter(key) for key in "odts"}
-_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
-_CHUNK_LINES = 4096  # lines parsed together, so the parsed dicts stay few
-
-
-def _not_an_int(token):
-    raise ValueError(f"{token} is not an integer")
 
 
 def read_cache_file(path) -> np.ndarray:
@@ -361,31 +353,15 @@ def read_cache_file(path) -> np.ndarray:
 
     Each whole line that is not blank must hold one record of four JSON
     integers. A file whose every line is as execute_fetch writes it is read
-    in one pass. Any other file is parsed _CHUNK_LINES lines at a time, each
-    chunk by one json.loads of its joined lines; when that fails, the same
-    parse is run line by line over the chunk to name the first bad line. A
-    file that cannot be read is an InputError.
+    in one pass; any other is parsed one line at a time, which names the
+    first bad line. A file that cannot be read is an InputError.
     """
     text = _read_text(path)
     text = text[: text.rfind("\n") + 1]  # what follows the last newline is a torn record
     rows = _parse_written(text)
-    if rows is not None:
-        return rows
-    lines = text.split("\n")[:-1]
-    columns = [np.empty((4, 0), dtype=np.int64)]
-    for start in range(0, len(lines), _CHUNK_LINES):
-        chunk = lines[start : start + _CHUNK_LINES]
-        try:
-            columns.append(_parse_lines(chunk))
-        except _BAD_RECORD:
-            for lineno, line in enumerate(chunk, start=start + 1):
-                try:
-                    _parse_lines([line])
-                except _BAD_RECORD as exc:
-                    raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
-            raise  # not reached: lines that each parse alone also parse joined
-    # filled a field at a time, so the rows are a view of (4, m) columns
-    return np.concatenate(columns, axis=1).T
+    if rows is None:
+        rows = _parse_lines(text.split("\n")[:-1], path)
+    return rows
 
 
 def _parse_written(text):
@@ -423,20 +399,26 @@ def _parse_written(text):
     return values.reshape(-1, 4)
 
 
-def _parse_lines(lines) -> np.ndarray:
-    """The records of `lines` as a (4, m) array: one row per field."""
-    whole = list(filter(str.strip, lines))
-    records = json.loads(
-        "[" + ",".join(whole) + "]", parse_float=_not_an_int, parse_constant=_not_an_int
-    )
-    if len(records) != len(whole):
-        raise ValueError("a line holds other than one record")
-    for key, field in _RECORD_FIELDS.items():
-        # true, "1" or null: json.loads has no hook to refuse these
-        if set(map(type, map(field, records))) - {int}:
-            raise ValueError(f'"{key}" is not a JSON integer')
-    flat = itertools.chain.from_iterable(map(field, records) for field in _RECORD_FIELDS.values())
-    return np.fromiter(flat, dtype=np.int64, count=4 * len(records)).reshape(4, -1)
+def _parse_lines(lines, path) -> np.ndarray:
+    """The records of `lines` as an (m, 4) array; a blank line holds none.
+    The first line that is not one record of four JSON integers in the
+    int64 range is an InputError naming it."""
+    rows = np.empty((len(lines), 4), dtype=np.int64)
+    m = 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            for key in "odts":
+                # true, "1", 1.5 and NaN are not ints
+                if type(record[key]) is not int:
+                    raise ValueError(f'"{key}" is not a JSON integer')
+            rows[m] = [record[key] for key in "odts"]  # past int64 is an OverflowError
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
+        m += 1
+    return rows[:m]
 
 
 def _cut_torn_record(path) -> None:

@@ -258,20 +258,19 @@ def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
     return k.reshape(shape)
 
 
-def enumerate_insertions(partial, remaining, deltas) -> np.recarray:
-    """All (node, slot) insertions of `remaining` into the partial tour,
-    sorted by cost delta, ties broken by (node, position).
+def enumerate_insertions(nodes, deltas) -> np.recarray:
+    """All (node, slot) insertions priced in `deltas`, sorted by cost
+    delta, ties broken by column, then position.
 
-    `deltas` is the (slots x nodes) grid of these insertions priced by
-    `_insertion_deltas`, nodes in sorted order. One record per candidate,
-    with fields `node`, `position` and `delta_cost`.
+    `deltas` is a (slots x nodes) grid of insertions into a partial tour, as
+    `_insertion_deltas` prices them: column j inserts `nodes[j]`, so ties
+    break by (node, position) when `nodes` is ascending. One record per
+    candidate, with fields `node`, `position` and `delta_cost`.
     """
-    order = tuple(partial.order if isinstance(partial, Route) else partial)
-    nodes = sorted(remaining)
-    if set(nodes) & set(order):
-        raise InputError("remaining nodes overlap the partial route")
-    slots = len(order) + 1
-    # node-major, so a stable sort breaks delta ties by (node, position)
+    if len(nodes) != deltas.shape[1]:
+        raise InputError(f"{len(nodes)} nodes for a grid of {deltas.shape[1]} columns")
+    slots = deltas.shape[0]
+    # node-major, so a stable sort breaks delta ties by (column, position)
     deltas = deltas.T.ravel()
     ranked = np.argsort(deltas, kind="stable")
     candidates = np.empty(len(ranked), dtype=_candidate_record(deltas.dtype))
@@ -307,7 +306,7 @@ def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int):
         deltas = _insertion_deltas(paths, clocks, remaining, matrix)
         for t, (path, clock, free, pick) in enumerate(zip(paths, clocks, remaining, picks)):
             # the (node, position, delta) record at the trial's drawn rank
-            node, pos, _ = enumerate_insertions(path[1:-1], free, deltas[:, t]).item(pick[m])
+            node, pos, _ = enumerate_insertions(free, deltas[:, t]).item(pick[m])
             free.remove(node)
             _insert(path, clock, pos, node, matrix)
     return paths, clocks

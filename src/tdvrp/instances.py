@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, Node, instance_from_json
+from .model import Instance, Node, _integer, instance_from_json
 
 PARIS_CENTER = (48.8566, 2.3522)
 SPREAD_DEG = 0.12  # clients lie within this many degrees of the center
@@ -21,6 +21,7 @@ def bundled_paris() -> Instance:
 
 def random_instance(n_clients: int, seed: int = 0) -> Instance:
     """Depot at the center of Paris, clients uniform in a square around it."""
+    n_clients = _integer(n_clients, "n_clients")
     if n_clients < 1:
         raise InputError(f"need at least one client, got {n_clients}")
     rng = np.random.default_rng(seed)

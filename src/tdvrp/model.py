@@ -79,6 +79,10 @@ def _as_times_array(times) -> np.ndarray:
         s, i, j = np.unravel_index(bad[0], arr.shape)
         rule = "be finite" if arr[s, i, j] == np.inf else "be >= 0"
         raise InputError(f"travel times must {rule}; times[{s}][{i}][{j}] = {arr[s, i, j]}")
+    # every tour drives n arcs: past 2**63 s its int64 clock would wrap
+    n, top = arr.shape[1], int(arr.max())
+    if arr.dtype.kind == "i" and n * top >= 2**63:
+        raise InputError(f"travel times too large: {n} arcs of {top} s pass 2**63 s")
     arr.setflags(write=False)
     return arr
 
@@ -94,8 +98,8 @@ class MultiLayerMatrix:
     where they do not.
 
     Every matrix is checked here, whatever builds it: integer or float
-    times, each >= 0 and finite (not NaN, not infinite), and a positive
-    integer step_seconds.
+    times, each >= 0 and finite (not NaN, not infinite), integer times whose
+    n-arc tours stay below 2**63 s, and a positive integer step_seconds.
     """
 
     times: np.ndarray

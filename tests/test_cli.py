@@ -6,6 +6,7 @@ import pytest
 
 from tdvrp import compare
 from tdvrp.cli import main
+from tdvrp.errors import InputError
 from tdvrp.model import (
     Route,
     Schedule,
@@ -163,6 +164,29 @@ def test_compare_needs_at_least_one_seed(seeds, small_setup, capsys):
                "--seeds", seeds, *FAST])
     assert rc == 2
     assert capsys.readouterr().err == f"error: need at least one seed, got {seeds}\n"
+
+
+@pytest.mark.parametrize("n_seeds", [1.0, True])
+def test_compare_seed_count_must_be_an_integer(n_seeds, small_setup):
+    inst, _, matrix, _ = small_setup
+    params = SolverParams(n_grasp=2, n_improve=1, l_delete=2)
+    with pytest.raises(InputError) as info:
+        compare.run_compare(inst, matrix, params, n_seeds)
+    assert str(info.value) == f"n_seeds must be an integer, got {n_seeds!r}"
+
+
+def test_solve_refuses_times_whose_tours_would_pass_64_bits(small_setup, tmp_path, capsys):
+    # 5 arcs of 2**62 s: an int64 clock would wrap before the tour ends
+    _, inst_path, _, _ = small_setup
+    doc = json.loads(matrix_to_json(constant_matrix(5, 1, n_layers=2)))
+    doc["times"] = [[[v * 2**62 for v in row] for row in layer] for layer in doc["times"]]
+    matrix_path = tmp_path / "huge.json"
+    matrix_path.write_text(json.dumps(doc))
+    rc = main(["solve", "--instance", str(inst_path), "--matrix", str(matrix_path), *FAST])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: travel times too large: 5 arcs of 4611686018427387904 s pass 2**63 s\n"
+    )
 
 
 @pytest.mark.parametrize(

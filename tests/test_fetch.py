@@ -88,6 +88,15 @@ def test_single_day_bounds_match_quota_arithmetic():
     assert plan_fetch(11, 24, start_epoch=START, daily_quota=2_500).days_needed == 2
 
 
+@pytest.mark.parametrize("arg, value", [("n_layers", 2.0), ("daily_quota", 100.0),
+                                        ("n_layers", True)])
+def test_single_day_bound_refuses_counts_that_are_not_integers(arg, value):
+    # 2.0 once raised a bare TypeError from isqrt
+    with pytest.raises(InputError) as info:
+        max_nodes_single_day(**{"n_layers": 2, "daily_quota": 100, arg: value})
+    assert str(info.value) == f"{arg} must be an integer, got {value!r}"
+
+
 def test_self_pair_accounting_flag():
     plan = plan_fetch(5, 2, start_epoch=START)
     assert plan.total_elements == 2 * 20  # useful: self-pairs skipped

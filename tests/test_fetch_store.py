@@ -17,8 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdvrp import fetch
+from tdvrp.cli import main
 from tdvrp.errors import IncompleteMatrixError, InputError
 from tdvrp.fetch import RecordedBackend, execute_fetch, plan_fetch, read_cache_file
+from tdvrp.instances import bundled_paris
+from tdvrp.model import load_matrix, save_instance
+from tdvrp.synth import TrafficProfile, generate_synthetic
 
 from conftest import grid_instance
 
@@ -264,8 +268,7 @@ def test_corrupt_middle_line_names_its_line_number(tmp_path):
             read_cache_file(path)
 
 
-def test_bad_line_past_the_first_chunk_is_named_by_its_line_number(tmp_path):
-    # parsed in chunks of 4,096 lines: the number counts every line, blank ones too
+def test_bad_line_number_counts_every_line_blank_ones_too(tmp_path):
     lines = [_line(0, 1, START, 60) if i % 10 else "\n" for i in range(4099)]
     path = tmp_path / "cache.jsonl"
     path.write_text("".join(lines + ['{"o": 1, "d": 2, "t": 5, "s": 1.5}\n', lines[1]]))
@@ -273,7 +276,7 @@ def test_bad_line_past_the_first_chunk_is_named_by_its_line_number(tmp_path):
         read_cache_file(path)
 
 
-def test_torn_last_line_past_the_first_chunk_is_skipped(tmp_path):
+def test_torn_last_line_of_a_long_file_is_skipped(tmp_path):
     rows = [(i % 5, (i + 1) % 5, START + i, i) for i in range(5000)]
     text = "".join(_line(*row) for row in rows)
     path = tmp_path / "cache.jsonl"
@@ -385,10 +388,41 @@ def test_lines_execute_fetch_writes_are_read_in_one_pass(tmp_path, monkeypatch):
 
     calls = []
     parse_lines = fetch._parse_lines
-    monkeypatch.setattr(fetch, "_parse_lines", lambda lines: calls.append(lines) or parse_lines(lines))
+    monkeypatch.setattr(
+        fetch, "_parse_lines", lambda lines, path: calls.append(lines) or parse_lines(lines, path)
+    )
     assert read_cache_file(path).tolist() == [list(r) for r in reference_rows(want)]
     assert calls == []
     # the spy sees the JSON parser: a blank line sends the file there
     path.write_text("\n" + want, encoding="utf-8")
     assert read_cache_file(path).tolist() == [list(r) for r in reference_rows(want)]
     assert calls
+
+
+def test_a_compact_recording_fetches_the_bytes_of_the_canonical_one(tmp_path, monkeypatch):
+    # the same Paris31 recording, once as execute_fetch writes lines and once
+    # with compact separators and a blank line, which only the JSON parser reads
+    paris = bundled_paris()
+    source = generate_synthetic(paris, 2, STEP, TrafficProfile(seed=5))
+    rows = [(o, d, START + s * STEP, int(source.times[s, o, d]))
+            for s in range(2) for o in range(31) for d in range(31) if o != d]
+    compact = ['{"o":%d,"d":%d,"t":%d,"s":%d}\n' % row for row in rows]
+    compact.insert(len(rows) // 2, "\n")
+    inst_path = tmp_path / "paris.json"
+    save_instance(paris, inst_path)
+    calls = []
+    parse_lines = fetch._parse_lines
+    monkeypatch.setattr(
+        fetch, "_parse_lines", lambda lines, path: calls.append(path) or parse_lines(lines, path)
+    )
+    fetched = []
+    for name, lines in (("canonical", [_line(*row) for row in rows]), ("compact", compact)):
+        fixture, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+        fixture.write_text("".join(lines), encoding="utf-8")
+        assert main(["fetch", "--instance", str(inst_path), "--backend", "recorded",
+                     "--recorded", str(fixture), "--layers", "2", "--step-seconds", str(STEP),
+                     "--start-epoch", str(START), "--out", str(out)]) == 0
+        fetched.append(out.read_bytes())
+    assert calls == [str(tmp_path / "compact.jsonl")]
+    assert fetched[0] == fetched[1]
+    assert np.array_equal(load_matrix(tmp_path / "compact.json").times, source.times)

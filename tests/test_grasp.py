@@ -29,10 +29,9 @@ def _insertions(partial, remaining, matrix):
     """enumerate_insertions over the grid priced from the tour state of
     `partial`, its clock taken from the reference walk."""
     departures, total = naive_departures(list(partial), matrix.times.tolist(), matrix.step_seconds)
-    deltas = _insertion_deltas(
-        [[0, *partial, 0]], [[*departures, total]], [sorted(remaining)], matrix
-    )
-    return enumerate_insertions(partial, remaining, deltas[:, 0])
+    nodes = sorted(remaining)
+    deltas = _insertion_deltas([[0, *partial, 0]], [[*departures, total]], [nodes], matrix)
+    return enumerate_insertions(nodes, deltas[:, 0])
 
 
 # --- insertion enumeration ------------------------------------------------------
@@ -73,10 +72,19 @@ def test_ties_break_by_node_then_position():
     assert [(c.node, c.position) for c in cands] == [(2, 0), (2, 1), (3, 0), (3, 1)]
 
 
-def test_overlap_between_partial_and_remaining_is_rejected():
-    m = constant_matrix(4, 300)
-    with pytest.raises(InputError):
-        _insertions((1,), {1, 2}, m)
+def test_columns_are_labelled_by_the_nodes_in_their_order():
+    # priced in the order [2, 1]: node 2 costs 10 s out and back, node 1 200 s
+    m = make_matrix([[[0, 100, 5], [100, 0, 100], [5, 100, 0]]], 3600)
+    deltas = _insertion_deltas([[0, 0]], [[0, 0]], [[2, 1]], m)
+    assert deltas[:, 0].tolist() == [[10, 200]]
+    cands = enumerate_insertions([2, 1], deltas[:, 0])
+    assert [(c.node, c.position, c.delta_cost) for c in cands] == [(2, 0, 10), (1, 0, 200)]
+
+
+def test_a_node_list_that_does_not_fit_the_grid_is_rejected():
+    deltas = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(InputError, match="2 nodes for a grid of 3 columns"):
+        enumerate_insertions([1, 2], deltas)
 
 
 # --- construction ----------------------------------------------------------------

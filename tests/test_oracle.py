@@ -203,3 +203,14 @@ def test_ordering_condition_on_n6_via_difference_constraints():
                 break
         feasible = not changed
         assert feasible == _is_single_tour(perm)
+
+
+def test_times_whose_tours_would_pass_64_bits_are_refused():
+    # 5 arcs of 2**62 s once wrapped the clock negative and picked a negative layer
+    inst = grid_instance(5)
+    with pytest.raises(InputError, match=r"5 arcs of 4611686018427387904 s pass 2\*\*63 s"):
+        brute_force_optimum(inst, constant_matrix(5, 2**62, n_layers=2))
+    # the largest time that 5 arcs can sum exactly still prices every tour
+    top = (2**63 - 1) // 5
+    route, sched = brute_force_optimum(inst, constant_matrix(5, top, n_layers=2))
+    assert route.order == (1, 2, 3, 4) and sched.total_cost == 5 * top

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tdvrp.errors import InputError
-from tdvrp.instances import bundled_paris
+from tdvrp.instances import bundled_paris, random_instance
 from tdvrp.model import Instance, Node, matrix_to_json, validate_matrix
 from tdvrp.synth import TrafficProfile, generate_synthetic, haversine_km, min_plus_closure
 
@@ -121,3 +121,11 @@ def test_layer_count_must_be_an_integer(n_layers):
     with pytest.raises(InputError) as info:
         generate_synthetic(grid_instance(4), n_layers, 60, TrafficProfile())
     assert str(info.value) == f"n_layers must be an integer, got {n_layers!r}"
+
+
+@pytest.mark.parametrize("n_clients", [2.0, True, "2"])
+def test_client_count_must_be_an_integer(n_clients):
+    # 2.0 once raised a bare TypeError from range(), and True built one client
+    with pytest.raises(InputError) as info:
+        random_instance(n_clients)
+    assert str(info.value) == f"n_clients must be an integer, got {n_clients!r}"
