@@ -329,6 +329,8 @@ def _provider_grid(rows, n_rows: int, n_cols: int):
 #
 # Append-only JSON lines, one element each:
 #   {"o": origin_index, "d": destination_index, "t": departure_epoch, "s": seconds}
+# An element the backend was asked for and left unanswered is a hole, written
+# once with "s": -1 (_HOLE), so no rerun asks for it again.
 # Every record ends with a newline, so an unterminated last line is a write
 # cut short by a crash: readers skip it and the next fetch cuts it off.
 #
@@ -340,6 +342,7 @@ def _provider_grid(rows, n_rows: int, n_cols: int):
 # one takes that far slower path.
 
 _RECORD = '{"o": %d, "d": %d, "t": %d, "s": %d}\n'
+_HOLE = -1
 _SKELETON = _RECORD.replace("%d", "")
 _DROP_NUMBERS = str.maketrans("", "", "0123456789-")
 _BLANK_SKELETON = str.maketrans(dict.fromkeys(_SKELETON, " "))
@@ -452,7 +455,8 @@ def execute_fetch(
     rerun over a warm cache issues zero backend calls. Transient failures are
     retried with exponential backoff (see the module docstring); a quota
     signal suspends the plan with progress preserved in the cache. Fetched
-    values are stored as-is, never fixed; MultiLayerMatrix refuses a negative one.
+    values are stored as-is, never fixed; a hole is cached as -1 and reported
+    at assembly, and MultiLayerMatrix refuses any other negative value.
     Each request's departure_time is its layer's epoch, as plan_fetch makes it.
     """
     n = plan.n_nodes
@@ -478,12 +482,15 @@ def execute_fetch(
                 got, answered = _query_with_retry(client, req, sleep)
             except QuotaExhaustedError:
                 raise PlanSuspendedError(index, len(plan.requests), cache_path)
-            answered = answered & (rows != cols)  # holes are reported at assembly
+            answered = answered & (rows != cols)
+            # a cell neither answered nor known is a hole, known from now on
+            fresh = answered | ~known[req.layer][tile]
+            got = np.where(answered, got, _HOLE)
             layer_values = values[req.layer]
-            layer_values[tile] = np.where(answered, got, layer_values[tile])
-            known[req.layer][tile] |= answered
+            layer_values[tile] = np.where(fresh, got, layer_values[tile])
+            known[req.layer][tile] = True
             if cache_fh is not None:
-                a, b = np.nonzero(answered)
+                a, b = np.nonzero(fresh)
                 t = np.full(len(a), req.departure_time)
                 cells = np.column_stack([rows[a, 0], cols[b], t, got[a, b]])
                 cache_fh.write(_RECORD * len(a) % tuple(cells.ravel().tolist()))
@@ -492,8 +499,9 @@ def execute_fetch(
         if cache_fh is not None:
             cache_fh.close()
 
-    if not known.all():
-        raise IncompleteMatrixError(map(tuple, np.argwhere(~known).tolist()))
+    holes = ~known | (values == _HOLE)
+    if holes.any():
+        raise IncompleteMatrixError(map(tuple, np.argwhere(holes).tolist()))
     return MultiLayerMatrix(times=values, step_seconds=plan.step_seconds)
 
 

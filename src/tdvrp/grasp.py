@@ -35,8 +35,9 @@ MultiLayerMatrix refuses negative times.
 
 The n_grasp construction trials grow in lockstep: after m insertions every
 trial has m clients placed and the same number left, so one walk prices the
-insertion grids of all trials at once, and `enumerate_insertions` then ranks
-each trial's grid on its own. Step m always offers
+insertion grids of all trials at once; one stable argsort per trial
+(`enumerate_insertions`) ranks its grid, and the drawn rank names the
+column of the client and the slot. Step m always offers
 (m + 1) * (clients - m) candidates, whatever was picked before, so every
 pick is drawn up front, one scalar `rng.integers` call per pick in the order
 the trials would draw them one after another; the stream, and the state
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -258,32 +258,13 @@ def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
     return k.reshape(shape)
 
 
-def enumerate_insertions(nodes, deltas) -> np.recarray:
-    """All (node, slot) insertions priced in `deltas`, sorted by cost
-    delta, ties broken by column, then position.
-
-    `deltas` is a (slots x nodes) grid of insertions into a partial tour, as
-    `_insertion_deltas` prices them: column j inserts `nodes[j]`, so ties
-    break by (node, position) when `nodes` is ascending. One record per
-    candidate, with fields `node`, `position` and `delta_cost`.
+def enumerate_insertions(deltas) -> np.ndarray:
+    """The (slots x columns) grid `deltas` of insertion cost deltas, ranked:
+    its node-major flat indices column * slots + slot, cheapest first, ties
+    broken by column, then slot.
     """
-    if len(nodes) != deltas.shape[1]:
-        raise InputError(f"{len(nodes)} nodes for a grid of {deltas.shape[1]} columns")
-    slots = deltas.shape[0]
-    # node-major, so a stable sort breaks delta ties by (column, position)
-    deltas = deltas.T.ravel()
-    ranked = np.argsort(deltas, kind="stable")
-    candidates = np.empty(len(ranked), dtype=_candidate_record(deltas.dtype))
-    candidates["node"] = np.array(nodes, dtype=np.intp)[ranked // slots]
-    candidates["position"] = ranked % slots
-    candidates["delta_cost"] = deltas[ranked]
-    return candidates.view(np.recarray)
-
-
-@cache
-def _candidate_record(delta: np.dtype) -> np.dtype:
-    """The record dtype of `enumerate_insertions`, built once per delta dtype."""
-    return np.dtype((np.record, [("node", np.intp), ("position", np.intp), ("delta_cost", delta)]))
+    # node-major, so a stable sort breaks delta ties by (column, slot)
+    return np.argsort(deltas.T.ravel(), kind="stable")
 
 
 def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int):
@@ -305,10 +286,10 @@ def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int):
     for m in range(clients):
         deltas = _insertion_deltas(paths, clocks, remaining, matrix)
         for t, (path, clock, free, pick) in enumerate(zip(paths, clocks, remaining, picks)):
-            # the (node, position, delta) record at the trial's drawn rank
-            node, pos, _ = enumerate_insertions(free, deltas[:, t]).item(pick[m])
-            free.remove(node)
-            _insert(path, clock, pos, node, matrix)
+            # the candidate at the trial's drawn rank; `free` is ascending, so
+            # ties break by (node, slot)
+            column, pos = divmod(int(enumerate_insertions(deltas[:, t])[pick[m]]), m + 1)
+            _insert(path, clock, pos, free.pop(column), matrix)
     return paths, clocks
 
 

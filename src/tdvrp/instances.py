@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, Node, _integer, instance_from_json
+from .model import Instance, Node, _integer, _seed, instance_from_json
 
 PARIS_CENTER = (48.8566, 2.3522)
 SPREAD_DEG = 0.12  # clients lie within this many degrees of the center
@@ -24,7 +24,7 @@ def random_instance(n_clients: int, seed: int = 0) -> Instance:
     n_clients = _integer(n_clients, "n_clients")
     if n_clients < 1:
         raise InputError(f"need at least one client, got {n_clients}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     lat0, lon0 = PARIS_CENTER
     nodes = [Node(0, lat0, lon0, "Depot")]
     for i in range(1, n_clients + 1):

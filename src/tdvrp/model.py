@@ -64,6 +64,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """`value` as a generator seed: an integer in [0, 2**64), else an InputError."""
+    if not 0 <= _integer(value, "seed") < 2**64:
+        raise InputError(f"seed must fit in 64 unsigned bits, got {value}")
+    return int(value)
+
+
 def _as_times_array(times) -> np.ndarray:
     arr = np.asarray(times)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -196,8 +203,7 @@ class SolverParams:
                 raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_improve < 0:
             raise InputError(f"n_improve must be >= 0, got {self.n_improve}")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise InputError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        _seed(self.seed)
 
 
 def layer_index(k, matrix: MultiLayerMatrix) -> int:

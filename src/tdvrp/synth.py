@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, MultiLayerMatrix, _integer
+from .model import Instance, MultiLayerMatrix, _integer, _seed
 
 EARTH_RADIUS_KM = 6371.0
 # travel times stay below this, so that two of them add up within int64
@@ -53,6 +53,7 @@ class TrafficProfile:
     def __post_init__(self):
         object.__setattr__(self, "peak_windows", tuple(tuple(w) for w in self.peak_windows))
         object.__setattr__(self, "jitter_range", tuple(self.jitter_range))
+        object.__setattr__(self, "seed", _seed(self.seed))
         # written so that NaN fails each test
         if not 0.0 < self.base_speed_kmh < math.inf:
             raise InputError(f"base speed must be positive and finite, got {self.base_speed_kmh}")

@@ -220,6 +220,23 @@ def test_gen_matrix_rejects_travel_times_past_64_bits(flag, value, named, small_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["gen-instance", "gen-matrix", "fetch"])
+def test_a_seed_outside_64_unsigned_bits_is_an_input_error(command, seed, small_setup,
+                                                           tmp_path, capsys):
+    _, inst_path, _, _ = small_setup
+    out = tmp_path / "out.json"
+    argv = {
+        "gen-instance": ["gen-instance", "--clients", "3"],
+        "gen-matrix": ["gen-matrix", "--instance", str(inst_path), "--layers", "2"],
+        "fetch": ["fetch", "--instance", str(inst_path), "--layers", "2",
+                  "--backend", "synthetic"],
+    }[command]
+    assert main([*argv, "--seed", seed, "--out", str(out)]) == 2
+    assert f"seed must fit in 64 unsigned bits, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fetch_synthetic_backend(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["gen-instance", "--clients", "4", "--seed", "2", "--out", str(inst_path)])

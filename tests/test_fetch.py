@@ -347,6 +347,52 @@ def test_provider_quota_signal_suspends_at_the_refused_request(tmp_path):
     execute_fetch(plan, Rationed(2), inst, cache_path=cache)
 
 
+def test_holes_become_known_so_a_multi_day_fetch_finishes(tmp_path, capsys, monkeypatch):
+    # Paris31 over 4 layers, 1,500 elements a day: the plan needs 3 days, and
+    # the recording lacks every element with (7o + d + s) mod 13 == 0
+    paris, inst_path = tdvrp.bundled_paris(), tmp_path / "paris.json"
+    save_instance(paris, inst_path)
+    source = generate_synthetic(paris, 4, 7200, TrafficProfile(seed=3))
+    n = source.n_nodes
+    fixture = tmp_path / "recorded.jsonl"
+    fixture.write_text("".join(
+        json.dumps({"o": o, "d": d, "t": START + 7200 * s, "s": int(source.times[s, o, d])})
+        + "\n"
+        for s in range(4) for o in range(n) for d in range(n)
+        if o != d and (7 * o + d + s) % 13
+    ))
+    cache, out = tmp_path / "cache.jsonl", tmp_path / "matrix.json"
+    argv = [
+        "fetch", "--instance", str(inst_path), "--backend", "recorded",
+        "--recorded", str(fixture), "--layers", "4", "--step-seconds", "7200",
+        "--start-epoch", str(START), "--daily-quota", "1500",
+        "--cache", str(cache), "--out", str(out),
+    ]
+    queries = []
+    query = RecordedBackend.query
+    monkeypatch.setattr(
+        RecordedBackend, "query", lambda self, *args: queries.append(args) or query(self, *args)
+    )
+    days = [main(argv) for _ in range(3)]
+    err = capsys.readouterr().err
+    assert days == [3, 3, 3]
+    assert err.count("quota exhausted") == 2
+    assert "missing entries: layer 0: 0->13" in err
+    assert not out.exists()
+
+    sent = len(queries)
+    assert main(argv) == 3
+    assert len(queries) == sent  # every element is known: the rerun asks for none
+    assert "missing entries" in capsys.readouterr().err
+    rows = read_cache_file(cache)
+    elements = {tuple(row) for row in rows[:, :3].tolist()}
+    assert len(rows) == len(elements) == 4 * n * (n - 1)
+    holes = rows[rows[:, 3] == -1]
+    assert len(holes) == sum(
+        (7 * o + d + s) % 13 == 0 for s in range(4) for o in range(n) for d in range(n) if o != d
+    )
+
+
 def test_budget_charge_accounts_elements():
     budget = QuotaBudget(daily_quota=100)
     budget.charge(60)

@@ -97,9 +97,11 @@ def reference_fetch(plan, backend, cache_text):
         values, answered = backend.query(req.origin_indices, req.destination_indices, t)
         for i, o in enumerate(req.origin_indices):
             for j, d in enumerate(req.destination_indices):
-                if o != d and answered[i][j]:
-                    cache[(o, d, t)] = int(values[i][j])
-                    text += _line(o, d, t, int(values[i][j]))
+                if o == d or not answered[i][j] and (o, d, t) in cache:
+                    continue
+                # an element asked for and not answered is cached as a hole, -1
+                cache[(o, d, t)] = int(values[i][j]) if answered[i][j] else -1
+                text += _line(o, d, t, cache[(o, d, t)])
     n = plan.n_nodes
     times = np.zeros((plan.n_layers, n, n), dtype=np.int64)
     holes = []
@@ -108,7 +110,7 @@ def reference_fetch(plan, backend, cache_text):
         for o in range(n):
             for d in range(n):
                 if o != d:
-                    if (o, d, t) in cache:
+                    if cache.get((o, d, t), -1) != -1:
                         times[layer, o, d] = cache[(o, d, t)]
                     else:
                         holes.append((layer, o, d))
@@ -374,15 +376,15 @@ def test_lines_execute_fetch_writes_are_read_in_one_pass(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     with pytest.raises(IncompleteMatrixError):
         execute_fetch(plan, RecordedBackend(inst, recorded), inst, cache_path=path)
-    # byte for byte the lines an f-string per element writes
+    # byte for byte the lines an f-string per element writes; the hole as -1
     values = {(o, d, t): s for o, d, t, s in recorded}
     want = "".join(
-        f'{{"o": {o}, "d": {d}, "t": {t}, "s": {values[o, d, t]}}}\n'
+        f'{{"o": {o}, "d": {d}, "t": {t}, "s": {values.get((o, d, t), -1)}}}\n'
         for req in plan.requests
         for t in [req.departure_time]
         for o in req.origin_indices
         for d in req.destination_indices
-        if (o, d, t) in values
+        if o != d
     )
     assert path.read_text(encoding="utf-8") == want
 

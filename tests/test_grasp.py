@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdvrp.errors import InputError
 from tdvrp.grasp import (
@@ -26,12 +27,20 @@ def _naive_cost(order, matrix):
 
 
 def _insertions(partial, remaining, matrix):
-    """enumerate_insertions over the grid priced from the tour state of
-    `partial`, its clock taken from the reference walk."""
+    """The (node, position, delta) candidates, cheapest first, decoded from
+    the ranking of the grid priced from the tour state of `partial`, its
+    clock taken from the reference walk."""
     departures, total = naive_departures(list(partial), matrix.times.tolist(), matrix.step_seconds)
     nodes = sorted(remaining)
-    deltas = _insertion_deltas([[0, *partial, 0]], [[*departures, total]], [nodes], matrix)
-    return enumerate_insertions(nodes, deltas[:, 0])
+    deltas = _insertion_deltas([[0, *partial, 0]], [[*departures, total]], [nodes], matrix)[:, 0]
+    return [_decode(rank, nodes, deltas) for rank in enumerate_insertions(deltas)]
+
+
+def _decode(rank, nodes, deltas):
+    """A node-major flat index into `deltas` as (node, position, delta);
+    column j of the grid prices nodes[j]."""
+    column, position = divmod(int(rank), deltas.shape[0])
+    return nodes[column], position, deltas[position, column]
 
 
 # --- insertion enumeration ------------------------------------------------------
@@ -39,18 +48,13 @@ def _insertions(partial, remaining, matrix):
 
 def test_single_insertion_into_empty_route():
     m = constant_matrix(3, 450)
-    cands = _insertions((), {1}, m)
-    assert len(cands) == 1
-    assert cands[0].node == 1 and cands[0].position == 0
-    assert cands[0].delta_cost == 900  # out and back
+    assert _insertions((), {1}, m) == [(1, 0, 900)]  # out and back
 
 
 def test_two_slots_around_one_client():
     m = constant_matrix(3, 450)
-    cands = _insertions((1,), {2}, m)
-    assert [(c.node, c.position) for c in cands] == [(2, 0), (2, 1)]
     # the tour grows from 2 arcs to 3, so both slots add one arc
-    assert all(c.delta_cost == 450 for c in cands)
+    assert _insertions((1,), {2}, m) == [(2, 0, 450), (2, 1, 450)]
 
 
 def test_deltas_match_from_scratch_evaluation(rng):
@@ -59,32 +63,42 @@ def test_deltas_match_from_scratch_evaluation(rng):
     partial = (2,)
     cands = _insertions(partial, {1, 3}, m)
     base = _naive_cost(partial, m)
-    for c in cands:
-        trial = partial[: c.position] + (c.node,) + partial[c.position :]
-        assert c.delta_cost == _naive_cost(trial, m) - base
-    deltas = [c.delta_cost for c in cands]
+    for node, position, delta in cands:
+        trial = partial[:position] + (node,) + partial[position:]
+        assert delta == _naive_cost(trial, m) - base
+    deltas = [delta for _, _, delta in cands]
     assert deltas == sorted(deltas)
 
 
 def test_ties_break_by_node_then_position():
     m = constant_matrix(4, 300)  # every candidate has the same delta
     cands = _insertions((1,), {2, 3}, m)
-    assert [(c.node, c.position) for c in cands] == [(2, 0), (2, 1), (3, 0), (3, 1)]
+    assert [(node, position) for node, position, _ in cands] == [(2, 0), (2, 1), (3, 0), (3, 1)]
 
 
 def test_columns_are_labelled_by_the_nodes_in_their_order():
     # priced in the order [2, 1]: node 2 costs 10 s out and back, node 1 200 s
     m = make_matrix([[[0, 100, 5], [100, 0, 100], [5, 100, 0]]], 3600)
-    deltas = _insertion_deltas([[0, 0]], [[0, 0]], [[2, 1]], m)
-    assert deltas[:, 0].tolist() == [[10, 200]]
-    cands = enumerate_insertions([2, 1], deltas[:, 0])
-    assert [(c.node, c.position, c.delta_cost) for c in cands] == [(2, 0, 10), (1, 0, 200)]
+    deltas = _insertion_deltas([[0, 0]], [[0, 0]], [[2, 1]], m)[:, 0]
+    assert deltas.tolist() == [[10, 200]]
+    ranking = enumerate_insertions(deltas)
+    assert [_decode(rank, [2, 1], deltas) for rank in ranking] == [(2, 0, 10), (1, 0, 200)]
 
 
-def test_a_node_list_that_does_not_fit_the_grid_is_rejected():
-    deltas = np.zeros((2, 3), dtype=np.int64)
-    with pytest.raises(InputError, match="2 nodes for a grid of 3 columns"):
-        enumerate_insertions([1, 2], deltas)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_ranking_is_sorted_by_delta_then_column_then_slot(data):
+    slots = data.draw(st.integers(1, 5), label="slots")
+    columns = data.draw(st.integers(1, 5), label="columns")
+    # few distinct values, so most grids hold ties
+    values = st.integers(-2, 2)
+    grid = data.draw(st.lists(st.lists(values, min_size=columns, max_size=columns),
+                              min_size=slots, max_size=slots), label="grid")
+    expected = sorted(
+        range(slots * columns),
+        key=lambda flat: (grid[flat % slots][flat // slots], flat // slots, flat % slots),
+    )
+    assert enumerate_insertions(np.array(grid, dtype=np.int64)).tolist() == expected
 
 
 # --- construction ----------------------------------------------------------------
