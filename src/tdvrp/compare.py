@@ -54,9 +54,7 @@ def run_compare(
     instance: Instance, matrix: MultiLayerMatrix, params: SolverParams, n_seeds: int
 ) -> CompareReport:
     """One CompareRow per seed params.seed, params.seed+1, ..."""
-    n_seeds = _integer(n_seeds, "n_seeds")
-    if n_seeds < 1:
-        raise InputError(f"need at least one seed, got {n_seeds}")
+    n_seeds = _integer(n_seeds, "n_seeds", 1)
     averaged = average_matrix(matrix)
     rows = []
     for offset in range(n_seeds):

@@ -97,6 +97,9 @@ class QuotaBudget:
     daily_quota: int
     elements_used: int = 0
 
+    def __post_init__(self):
+        self.daily_quota = _integer(self.daily_quota, "daily_quota", 1)
+
     def charge(self, elements: int) -> None:
         if self.elements_used + elements > self.daily_quota:
             raise QuotaExhaustedError(
@@ -108,10 +111,8 @@ class QuotaBudget:
 
 def max_nodes_single_day(n_layers: int, daily_quota: int) -> int:
     """Largest N whose full fetch (n_layers * N^2 billed elements) fits in one day."""
-    n_layers, daily_quota = _integer(n_layers, "n_layers"), _integer(daily_quota, "daily_quota")
-    if n_layers < 1 or daily_quota < 1:
-        raise InputError("need at least one layer and a positive quota")
-    return isqrt(daily_quota // n_layers)
+    n_layers = _integer(n_layers, "n_layers", 1)
+    return isqrt(_integer(daily_quota, "daily_quota", 1) // n_layers)
 
 
 def plan_fetch(
@@ -129,26 +130,20 @@ def plan_fetch(
     grouped with the full destination list while the cross product stays
     under the cap; rows wider than the cap are split along destinations.
     The tiles partition each layer exactly (no duplicates, no holes).
-    Layer 0 departs at start_epoch, by default two weeks from now.
+    Layer 0 departs at start_epoch, by default two weeks from now. Counts are
+    integers >= 1 (n_nodes >= 2); the horizon and last departure stay < 2**63 s.
     """
-    n_nodes = _integer(n_nodes, "n_nodes")
-    n_layers = _integer(n_layers, "n_layers")
-    step_seconds = _integer(step_seconds, "step_seconds")
-    elements_per_request_limit = _integer(elements_per_request_limit, "elements_per_request_limit")
-    daily_quota = _integer(daily_quota, "daily_quota")
+    n_nodes = _integer(n_nodes, "n_nodes", 2)
+    n_layers = _integer(n_layers, "n_layers", 1)
+    step_seconds = _integer(step_seconds, "step_seconds", 1, 2**63 // n_layers)
+    elements_per_request_limit = _integer(
+        elements_per_request_limit, "elements_per_request_limit", 1
+    )
+    daily_quota = _integer(daily_quota, "daily_quota", 1)
     if start_epoch is None:
         start_epoch = int(time.time()) + QUERY_LEAD_SECONDS
-    start_epoch = _integer(start_epoch, "start_epoch")
-    if n_nodes < 2:
-        raise InputError(f"need at least 2 nodes, got {n_nodes}")
-    if n_layers < 1:
-        raise InputError(f"need at least 1 layer, got {n_layers}")
-    if elements_per_request_limit < 1:
-        raise InputError("per-request element limit must be >= 1")
-    if daily_quota < 1:
-        raise InputError("daily quota must be >= 1")
-    if step_seconds < 1:
-        raise InputError("step_seconds must be >= 1")
+    # the last layer departs at start_epoch + (n_layers - 1) * step_seconds < 2**63
+    start_epoch = _integer(start_epoch, "start_epoch", 0, 2**63 - (n_layers - 1) * step_seconds)
 
     limit = min(elements_per_request_limit, daily_quota)
     # whole rows while a row fits under the cap, else one row cut into pieces
@@ -225,8 +220,10 @@ class RecordedBackend:
             raise InputError(
                 f"matrix covers {matrix.n_nodes} nodes but instance has {instance.n_nodes}"
             )
+        step, last = matrix.step_seconds, matrix.n_layers - 1
+        start_epoch = _integer(start_epoch, "start_epoch", 0, 2**63 - last * step)
         layer, o, d = np.indices(matrix.times.shape).reshape(3, -1)
-        t = int(start_epoch) + matrix.step_seconds * layer
+        t = start_epoch + step * layer
         return cls(instance, np.column_stack([o, d, t, matrix.times.reshape(-1)]))
 
     def query(self, origins, destinations, departure_time):

@@ -79,6 +79,7 @@ from .model import (
     _advance,
     _arrivals,
     _expect,
+    _integer,
     _order_schedule,
     _parse_json,
 )
@@ -272,8 +273,7 @@ def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int):
     drawing each insertion uniformly from the k_grasp cheapest candidates;
     return their (paths, clocks) in trial order.
     """
-    if k_grasp < 1:
-        raise InputError(f"k_grasp must be >= 1, got {k_grasp}")
+    k_grasp = _integer(k_grasp, "k_grasp", 1)
     clients = matrix.n_nodes - 1
     # see the module docstring: scalar draws, in trial-by-trial order
     picks = [

@@ -6,8 +6,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import InputError
-from .model import Instance, Node, _integer, _seed, instance_from_json
+from .model import Instance, Node, _integer, instance_from_json
 
 PARIS_CENTER = (48.8566, 2.3522)
 SPREAD_DEG = 0.12  # clients lie within this many degrees of the center
@@ -21,10 +20,8 @@ def bundled_paris() -> Instance:
 
 def random_instance(n_clients: int, seed: int = 0) -> Instance:
     """Depot at the center of Paris, clients uniform in a square around it."""
-    n_clients = _integer(n_clients, "n_clients")
-    if n_clients < 1:
-        raise InputError(f"need at least one client, got {n_clients}")
-    rng = np.random.default_rng(_seed(seed))
+    n_clients = _integer(n_clients, "n_clients", 1)
+    rng = np.random.default_rng(_integer(seed, "seed", 0, 2**64))
     lat0, lon0 = PARIS_CENTER
     nodes = [Node(0, lat0, lon0, "Depot")]
     for i in range(1, n_clients + 1):

@@ -57,17 +57,14 @@ class Instance:
         return [(n.lat, n.lon) for n in self.nodes]
 
 
-def _integer(value, name: str) -> int:
-    """`value` as an int; an InputError naming `name` unless it is one (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _seed(value) -> int:
-    """`value` as a generator seed: an integer in [0, 2**64), else an InputError."""
-    if not 0 <= _integer(value, "seed") < 2**64:
-        raise InputError(f"seed must fit in 64 unsigned bits, got {value}")
+def _integer(value, name: str, low: int, high: int = 2**63) -> int:
+    """The one rule for integer arguments: `value` as an int if it is an integer
+    (a bool is not) in [low, high), by default in int64; else an InputError
+    naming `name` and the bounds, where a power of two past 2**32 reads 2**e."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or not low <= int(value) < high:
+        top = f"2**{high.bit_length() - 1}" if high > 2**32 and high & (high - 1) == 0 else high
+        raise InputError(f"{name} must be an integer in [{low}, {top}), got {value!r}")
     return int(value)
 
 
@@ -106,18 +103,17 @@ class MultiLayerMatrix:
 
     Every matrix is checked here, whatever builds it: integer or float
     times, each >= 0 and finite (not NaN, not infinite), integer times whose
-    n-arc tours stay below 2**63 s, and a positive integer step_seconds.
+    n-arc tours stay below 2**63 s, and an integer step_seconds >= 1 whose
+    horizon n_layers * step_seconds stays below 2**63 s.
     """
 
     times: np.ndarray
     step_seconds: int
 
     def __post_init__(self):
-        step = _integer(self.step_seconds, "step_seconds")
-        if step <= 0:
-            raise InputError(f"step_seconds must be positive, got {step}")
-        object.__setattr__(self, "step_seconds", step)
         object.__setattr__(self, "times", _as_times_array(self.times))
+        step = _integer(self.step_seconds, "step_seconds", 1, 2**63 // self.n_layers)
+        object.__setattr__(self, "step_seconds", step)
 
     @property
     def n_layers(self) -> int:
@@ -196,19 +192,14 @@ class SolverParams:
 
     def __post_init__(self):
         for f in fields(self):
+            low, high = {"n_improve": (0, 2**63), "seed": (0, 2**64)}.get(f.name, (1, 2**63))
             # a numpy integer would not serialize in result_to_json
-            object.__setattr__(self, f.name, _integer(getattr(self, f.name), f.name))
-        for name in ("n_grasp", "k_grasp", "l_delete", "k_del", "k_ins"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_improve < 0:
-            raise InputError(f"n_improve must be >= 0, got {self.n_improve}")
-        _seed(self.seed)
+            object.__setattr__(self, f.name, _integer(getattr(self, f.name), f.name, low, high))
 
 
 def layer_index(k, matrix: MultiLayerMatrix) -> int:
     """Layer holding departures at time k; past-horizon times use the last layer."""
-    if k < 0:
+    if not k >= 0:  # written so that NaN fails it
         raise InputError(f"departure time must be >= 0, got {k}")
     return min(int(k // matrix.step_seconds), matrix.n_layers - 1)
 
@@ -219,11 +210,9 @@ def travel_time(i: int, j: int, k, matrix: MultiLayerMatrix):
     Reads (row i, column j) of the departure layer only; asymmetric entries
     are never mixed.
     """
-    n = matrix.n_nodes
+    i, j = _integer(i, "i", 0, matrix.n_nodes), _integer(j, "j", 0, matrix.n_nodes)
     if i == j:
         raise InputError(f"self-arc {i}->{i} has no travel time")
-    if not (0 <= i < n) or not (0 <= j < n):
-        raise InputError(f"arc {i}->{j} out of range for {n} nodes")
     return matrix.times.item(layer_index(k, matrix), i, j)
 
 

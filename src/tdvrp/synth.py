@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, MultiLayerMatrix, _integer, _seed
+from .model import Instance, MultiLayerMatrix, _integer
 
 EARTH_RADIUS_KM = 6371.0
 # travel times stay below this, so that two of them add up within int64
@@ -42,7 +42,7 @@ class TrafficProfile:
     peak_windows are (start_layer, end_layer, multiplier) with the layer range
     half-open; overlapping windows multiply. jitter_range is the uniform range
     of a per-direction factor drawn once per ordered node pair, so (i, j) and
-    (j, i) get independent values.
+    (j, i) get independent values. The seed is an integer in [0, 2**64).
     """
 
     base_speed_kmh: float = 25.0
@@ -53,7 +53,7 @@ class TrafficProfile:
     def __post_init__(self):
         object.__setattr__(self, "peak_windows", tuple(tuple(w) for w in self.peak_windows))
         object.__setattr__(self, "jitter_range", tuple(self.jitter_range))
-        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2**64))
         # written so that NaN fails each test
         if not 0.0 < self.base_speed_kmh < math.inf:
             raise InputError(f"base speed must be positive and finite, got {self.base_speed_kmh}")
@@ -100,9 +100,7 @@ def generate_synthetic(
     Deterministic: the same (instance, n_layers, step_seconds, profile) always
     yields the same matrix.
     """
-    n_layers = _integer(n_layers, "n_layers")
-    if n_layers < 1:
-        raise InputError(f"need at least one layer, got {n_layers}")
+    n_layers = _integer(n_layers, "n_layers", 1)
     lats = np.array([n.lat for n in instance.nodes])
     lons = np.array([n.lon for n in instance.nodes])
     dist_km = haversine_km(lats[:, None], lons[:, None], lats[None, :], lons[None, :])

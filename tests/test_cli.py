@@ -163,7 +163,8 @@ def test_compare_needs_at_least_one_seed(seeds, small_setup, capsys):
     rc = main(["compare", "--instance", str(inst_path), "--matrix", str(matrix_path),
                "--seeds", seeds, *FAST])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: need at least one seed, got {seeds}\n"
+    err = capsys.readouterr().err
+    assert err == f"error: n_seeds must be an integer in [1, 2**63), got {seeds}\n"
 
 
 @pytest.mark.parametrize("n_seeds", [1.0, True])
@@ -172,7 +173,7 @@ def test_compare_seed_count_must_be_an_integer(n_seeds, small_setup):
     params = SolverParams(n_grasp=2, n_improve=1, l_delete=2)
     with pytest.raises(InputError) as info:
         compare.run_compare(inst, matrix, params, n_seeds)
-    assert str(info.value) == f"n_seeds must be an integer, got {n_seeds!r}"
+    assert str(info.value) == f"n_seeds must be an integer in [1, 2**63), got {n_seeds!r}"
 
 
 def test_solve_refuses_times_whose_tours_would_pass_64_bits(small_setup, tmp_path, capsys):
@@ -233,8 +234,48 @@ def test_a_seed_outside_64_unsigned_bits_is_an_input_error(command, seed, small_
                   "--backend", "synthetic"],
     }[command]
     assert main([*argv, "--seed", seed, "--out", str(out)]) == 2
-    assert f"seed must fit in 64 unsigned bits, got {seed}" in capsys.readouterr().err
+    assert f"seed must be an integer in [0, 2**64), got {seed}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # once an OverflowError traceback
+        (["fetch", "--start-epoch", "99999999999999999999"],
+         "start_epoch must be an integer in [0, 9223372036854739808), got 99999999999999999999"),
+        # the layer-1 epoch once wrapped round, and the fetch ended in "missing entries"
+        (["fetch", "--layers", "2", "--start-epoch", "9223372036854775000"],
+         "start_epoch must be an integer in [0, 9223372036854768608), got 9223372036854775000"),
+        (["fetch", "--layers", "3", "--step-seconds", str(2**62), "--start-epoch", "0"],
+         f"step_seconds must be an integer in [1, {2**63 // 3}), got {2**62}"),
+        # the file was once written, and solve on it crashed with an OverflowError
+        (["gen-matrix", "--layers", "2", "--step-seconds", str(2**63)],
+         f"step_seconds must be an integer in [1, 2**62), got {2**63}"),
+    ],
+    ids=["fetch-epoch-past-int64", "fetch-last-epoch-wraps", "fetch-horizon-wraps",
+         "gen-matrix-horizon-wraps"],
+)
+def test_an_epoch_or_horizon_past_int64_is_an_input_error(argv, message, small_setup,
+                                                           tmp_path, capsys):
+    _, inst_path, _, _ = small_setup
+    out = tmp_path / "out.json"
+    assert main([*argv, "--instance", str(inst_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_solve_refuses_a_matrix_file_whose_horizon_passes_int64(small_setup, tmp_path, capsys):
+    # once an OverflowError traceback from the arc walk
+    _, inst_path, _, matrix_path = small_setup
+    doc = json.loads(matrix_path.read_text())
+    doc["step_seconds"] = 2**70
+    matrix_path.write_text(json.dumps(doc))
+    rc = main(["solve", "--instance", str(inst_path), "--matrix", str(matrix_path), *FAST])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: step_seconds must be an integer in [1, {2**63 // 3}), got {2**70}\n"
+    )
 
 
 def test_fetch_synthetic_backend(tmp_path, capsys):

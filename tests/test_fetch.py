@@ -94,7 +94,7 @@ def test_single_day_bound_refuses_counts_that_are_not_integers(arg, value):
     # 2.0 once raised a bare TypeError from isqrt
     with pytest.raises(InputError) as info:
         max_nodes_single_day(**{"n_layers": 2, "daily_quota": 100, arg: value})
-    assert str(info.value) == f"{arg} must be an integer, got {value!r}"
+    assert str(info.value) == f"{arg} must be an integer in [1, 2**63), got {value!r}"
 
 
 def test_self_pair_accounting_flag():
@@ -127,7 +127,10 @@ def test_plan_rejects_degenerate_sizes():
 def test_plan_refuses_integer_arguments_that_are_not_integers(arg, value):
     with pytest.raises(InputError) as info:
         plan_fetch(**{"n_nodes": 4, "n_layers": 2, "start_epoch": START, arg: value})
-    assert str(info.value) == f"{arg} must be an integer, got {value!r}"
+    # two layers: the step stays below 2**63 // 2, the start below 2**63 - 7200
+    low, high = {"n_nodes": (2, "2**63"), "step_seconds": (1, "2**62"),
+                 "start_epoch": (0, 2**63 - 7200)}.get(arg, (1, "2**63"))
+    assert str(info.value) == f"{arg} must be an integer in [{low}, {high}), got {value!r}"
 
 
 # --- execution -------------------------------------------------------------------

@@ -64,6 +64,15 @@ def test_layer_index_rejects_negative():
         layer_index(-1, m)
 
 
+def test_layer_index_and_travel_time_reject_nan():
+    # travel_time once raised a bare ValueError from int(nan)
+    m = constant_matrix(3, 100)
+    with pytest.raises(InputError, match="departure time must be >= 0, got nan"):
+        layer_index(float("nan"), m)
+    with pytest.raises(InputError, match="departure time must be >= 0, got nan"):
+        travel_time(0, 1, float("nan"), m)
+
+
 # --- travel time --------------------------------------------------------------
 
 
@@ -338,10 +347,10 @@ def test_matrix_refuses_entries_numpy_would_coerce(times, message):
 @pytest.mark.parametrize(
     "step, message",
     [
-        (1.9, "step_seconds must be an integer, got 1.9"),
-        ("7200", "step_seconds must be an integer, got '7200'"),
-        (True, "step_seconds must be an integer, got True"),
-        (0, "step_seconds must be positive, got 0"),
+        (1.9, "step_seconds must be an integer in [1, 2**63), got 1.9"),
+        ("7200", "step_seconds must be an integer in [1, 2**63), got '7200'"),
+        (True, "step_seconds must be an integer in [1, 2**63), got True"),
+        (0, "step_seconds must be an integer in [1, 2**63), got 0"),
     ],
 )
 def test_matrix_refuses_step_that_is_not_a_positive_integer(step, message):
@@ -535,7 +544,8 @@ def test_matrix_json_rejects_entries_beyond_64_bits():
 def test_solver_params_reject_values_that_are_not_integers(field, value):
     with pytest.raises(InputError) as info:
         SolverParams(**{field: value})
-    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+    low, high = {"n_improve": (0, "2**63"), "seed": (0, "2**64")}.get(field, (1, "2**63"))
+    assert str(info.value) == f"{field} must be an integer in [{low}, {high}), got {value!r}"
 
 
 def test_solver_params_store_numpy_integers_as_python_ints():
