@@ -7,24 +7,29 @@ the GeoJSON convention: longitude first, then latitude.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 from .errors import InputError
-from .model import Instance
+from .model import Instance, _order
 
 
 def route_geojson(order, departures, instance: Instance) -> dict:
-    order = [int(v) for v in order]
+    """The tour as a FeatureCollection: `order` must pass `_order` below
+    instance.n_nodes, and each of its len(order) + 1 departures, depot first,
+    be a real number (not a bool or a string), finite and >= 0."""
+    order = _order(order, instance.n_nodes)
     departures = list(departures)
-    n = instance.n_nodes
-    for v in order:
-        if not 0 < v < n:
-            raise InputError(f"route node {v} does not exist in the {n}-node instance")
+    for i, v in enumerate(departures):
+        if not isinstance(v, numbers.Real) or isinstance(v, bool) or not 0 <= v < math.inf:
+            raise InputError(f"departures[{i}] must be a finite number >= 0, got {v!r}")
     if len(departures) != len(order) + 1:
         raise InputError(
             f"expected {len(order) + 1} departures for {len(order)} visits, "
             f"got {len(departures)}"
         )
 
-    def point(node_id, visit_order, departure):
+    def point(node_id, visit_order):
         node = instance.nodes[node_id]
         return {
             "type": "Feature",
@@ -33,26 +38,17 @@ def route_geojson(order, departures, instance: Instance) -> dict:
                 "id": node.id,
                 "label": node.label,
                 "visit_order": visit_order,
-                "departure_s": int(round(departure)),
+                "departure_s": int(round(departures[visit_order])),
             },
         }
 
-    features = [point(0, 0, departures[0])]
-    for pos, node_id in enumerate(order, start=1):
-        features.append(point(node_id, pos, departures[pos]))
-
+    features = [point(node_id, pos) for pos, node_id in enumerate((0, *order))]
     if order:
-        path = [0] + order + [0]
+        path = [[instance.nodes[i].lon, instance.nodes[i].lat] for i in (0, *order, 0)]
         line = {
             "type": "Feature",
-            "geometry": {
-                "type": "LineString",
-                "coordinates": [
-                    [instance.nodes[i].lon, instance.nodes[i].lat] for i in path
-                ],
-            },
+            "geometry": {"type": "LineString", "coordinates": path},
             "properties": {"stops": len(order)},
         }
         features.append(line)
-
     return {"type": "FeatureCollection", "features": features}

@@ -80,6 +80,7 @@ from .model import (
     _arrivals,
     _expect,
     _integer,
+    _order,
     _order_schedule,
     _parse_json,
 )
@@ -345,9 +346,7 @@ def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> Solve
     the best cost after each round, so it is non-increasing. Rounds run in
     speculative batches (see the module docstring).
     """
-    order = tuple(route.order if isinstance(route, Route) else route)
-    if set(order) != set(range(1, matrix.n_nodes)):
-        raise InputError("improvement needs a complete route over all clients")
+    order = _order(route, matrix.n_nodes, complete=True)
     clients, l_delete = len(order), params.l_delete
     if l_delete > clients:
         raise InputError(f"l_delete={l_delete} exceeds the {clients} clients in the route")

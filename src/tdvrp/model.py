@@ -132,30 +132,39 @@ class MultiLayerMatrix:
 class Route:
     """Visit order of clients; the tour is depot -> order[0] -> ... -> depot.
 
-    The depot never appears in `order`. A complete route is a permutation of
-    all clients; partial routes occur during construction.
+    `order` holds client ids as ints, each an integer >= 1 (so never the
+    depot) and none twice, as `_order` checks. A complete route is a
+    permutation of all clients; partial routes occur during construction.
     """
 
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(int(v) for v in self.order)
-        object.__setattr__(self, "order", order)
-        seen = set()
-        for v in order:
-            if v == 0:
-                raise RouteError("the depot cannot appear inside a route")
-            if v < 0:
-                raise RouteError(f"negative node index {v} in route")
-            if v in seen:
-                raise RouteError(f"duplicate node {v} in route")
-            seen.add(v)
+        object.__setattr__(self, "order", _order(self.order))
 
     def __len__(self) -> int:
         return len(self.order)
 
     def is_complete(self, n_nodes: int) -> bool:
         return set(self.order) == set(range(1, n_nodes))
+
+
+def _order(route, n_nodes: int = 2**63, complete: bool = False) -> tuple[int, ...]:
+    """The one rule for routes: `route` (a Route or any sequence) as a tuple
+    of client ids, each an integer in [1, n_nodes) by `_integer`, none twice
+    and, if `complete`, all n_nodes - 1 of them; else a RouteError."""
+    nodes = route.order if isinstance(route, Route) else route
+    try:
+        nodes = tuple(_integer(v, "route node", 1, n_nodes) for v in nodes)
+    except InputError as exc:
+        raise RouteError(str(exc)) from None
+    if len(set(nodes)) < len(nodes):
+        twice = next(v for i, v in enumerate(nodes) if v in nodes[:i])
+        raise RouteError(f"route {list(nodes)} visits node {twice} twice")
+    if complete and len(nodes) < n_nodes - 1:
+        clients = f"clients 1..{n_nodes - 1}"
+        raise RouteError(f"route {list(nodes)} is not a complete route over {clients}")
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -279,14 +288,9 @@ def evaluate_route(route, matrix: MultiLayerMatrix) -> Schedule:
 
     The depot departure is time 0; each later departure adds the travel time
     of the incoming arc, costed at the layer of its own departure time. An
-    empty route costs 0.
+    empty route costs 0; `_order` checks it against matrix.n_nodes.
     """
-    order = route.order if isinstance(route, Route) else Route(tuple(route)).order
-    n = matrix.n_nodes
-    for v in order:
-        if v >= n:
-            raise RouteError(f"node {v} out of range for {n}-node matrix")
-    return _order_schedule(order, matrix)
+    return _order_schedule(_order(route, matrix.n_nodes), matrix)
 
 
 def average_matrix(matrix: MultiLayerMatrix) -> MultiLayerMatrix:

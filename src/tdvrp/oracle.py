@@ -16,7 +16,7 @@ from itertools import chain, pairwise, permutations
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, MultiLayerMatrix, Route, Schedule, _advance, _order_schedule
+from .model import Instance, MultiLayerMatrix, Route, Schedule, _advance, _order, _order_schedule
 
 MAX_CLIENTS = 10  # the search is factorial
 # the last BLOCK_CLIENTS clients of a tour are permuted in one batch of
@@ -112,13 +112,10 @@ def _suffix_columns(width: int) -> np.ndarray:
 
 
 def route_to_arcs(route: Route) -> ArcSolution:
-    """Arc variables of a complete route, with u set to the visit positions."""
-    order = route.order if isinstance(route, Route) else Route(tuple(route)).order
-    n = len(order) + 1
-    if set(order) != set(range(1, n)):
-        raise InputError(
-            f"route {list(order)} is not a complete tour over clients 1..{n - 1}"
-        )
+    """Arc variables of a complete route, a Route or a sequence of clients
+    1..len(route) each once, with u set to the visit positions."""
+    n = len(route) + 1
+    order = _order(route, n, complete=True)
     x = np.zeros((n, n), dtype=np.int64)
     u = np.zeros(n, dtype=np.int64)
     prev = 0

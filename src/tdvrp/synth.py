@@ -51,17 +51,18 @@ class TrafficProfile:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "peak_windows", tuple(tuple(w) for w in self.peak_windows))
+        windows = []
+        for start, end, mult in self.peak_windows:
+            if isinstance(mult, bool) or not 1.0 <= mult < math.inf:
+                raise InputError(f"peak multiplier must be >= 1 and finite, got {mult!r}")
+            start = _integer(start, "peak start", 0)
+            windows.append((start, _integer(end, "peak end", start + 1), mult))
+        object.__setattr__(self, "peak_windows", tuple(windows))
         object.__setattr__(self, "jitter_range", tuple(self.jitter_range))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2**64))
         # written so that NaN fails each test
         if not 0.0 < self.base_speed_kmh < math.inf:
             raise InputError(f"base speed must be positive and finite, got {self.base_speed_kmh}")
-        for start, end, mult in self.peak_windows:
-            if not 1.0 <= mult < math.inf:
-                raise InputError(f"peak multiplier must be >= 1 and finite, got {mult}")
-            if start < 0 or end <= start:
-                raise InputError(f"bad peak window [{start}, {end})")
         lo, hi = self.jitter_range
         if not 0.0 < lo <= hi < math.inf:
             raise InputError(f"jitter range must be finite with 0 < lo <= hi, got ({lo}, {hi})")

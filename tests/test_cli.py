@@ -454,6 +454,13 @@ def test_file_errors_exit_with_input_error(case, small_setup, tmp_path, capsys):
          """result entry departures_s[1] = "60" is not a JSON number"""),
         ({"route": [1, 2], "departures_s": None},
          "result field 'departures_s' = null is not a JSON list"),
+        # the tour rule and the departure rule of route_geojson
+        ({"route": [1, 1, 2], "departures_s": [0, 60, 120, 180]},
+         "route [1, 1, 2] visits node 1 twice"),
+        ({"route": [1, 2], "departures_s": [0, -5, 7]},
+         "departures[1] must be a finite number >= 0, got -5"),
+        ({"route": [1, 5], "departures_s": [0, 60, 120]},
+         "route node must be an integer in [1, 5), got 5"),
     ],
 )
 def test_export_rejects_mistyped_result_fields(doc, expected, small_setup, tmp_path, capsys):

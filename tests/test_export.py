@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tdvrp.errors import InputError
@@ -64,3 +65,15 @@ def test_out_of_range_index_is_named():
 def test_departure_count_must_match():
     with pytest.raises(InputError):
         route_geojson([1, 2], [0, 100], grid_instance(4))
+
+
+@pytest.mark.parametrize("departure", [float("nan"), float("inf"), -5, "x", True, None])
+def test_each_departure_is_a_finite_number_at_least_zero(departure):
+    with pytest.raises(InputError) as info:
+        route_geojson([1, 2], [0, departure, 700], grid_instance(3))
+    assert str(info.value) == f"departures[1] must be a finite number >= 0, got {departure!r}"
+
+
+def test_departures_may_be_floats_and_numpy_numbers():
+    geo = route_geojson([1, 2], [0.0, np.float64(600.4), np.int64(1200)], grid_instance(3))
+    assert [p["properties"]["departure_s"] for p in _points(geo)] == [0, 600, 1200]

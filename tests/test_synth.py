@@ -30,6 +30,28 @@ def test_profile_validation():
         TrafficProfile(jitter_range=(0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "window, expected",
+    [
+        ((0.5, 1.5, 2.0), "peak start must be an integer in [0, 2**63), got 0.5"),
+        ((True, 3, 1.5), "peak start must be an integer in [0, 2**63), got True"),
+        ((-1, 3, 1.5), "peak start must be an integer in [0, 2**63), got -1"),
+        ((1, 2.5, 1.5), "peak end must be an integer in [2, 2**63), got 2.5"),
+        ((2, 2, 1.5), "peak end must be an integer in [3, 2**63), got 2"),
+        ((0, 2, True), "peak multiplier must be >= 1 and finite, got True"),
+    ],
+)
+def test_peak_windows_are_whole_layers_and_real_multipliers(window, expected):
+    with pytest.raises(InputError) as info:
+        TrafficProfile(peak_windows=[(0, 1, 2.0), window])
+    assert str(info.value) == expected
+
+
+def test_peak_window_layers_may_be_numpy_integers():
+    (window,) = TrafficProfile(peak_windows=[(np.int64(1), np.int64(3), 2.0)]).peak_windows
+    assert window == (1, 3, 2.0) and type(window[0]) is type(window[1]) is int
+
+
 def test_layer_multiplier_windows_are_half_open():
     profile = TrafficProfile(peak_windows=((1, 3, 2.0),))
     assert [profile.layer_multiplier(s) for s in range(4)] == [1.0, 2.0, 2.0, 1.0]
