@@ -135,7 +135,7 @@ def cmd_fetch(args) -> int:
         if args.backend == "recorded":
             if not args.recorded:
                 raise InputError("--recorded FILE is required with --backend recorded")
-            client = fetch_mod.RecordedBackend(instance, fetch_mod.read_cache_file(args.recorded))
+            client = fetch_mod.RecordedBackend.from_file(instance, args.recorded)
         else:
             client = fetch_mod.LiveBackend(instance, api_key=args.api_key)
         budget = fetch_mod.QuotaBudget(daily_quota=args.daily_quota)

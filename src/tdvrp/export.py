@@ -7,22 +7,16 @@ the GeoJSON convention: longitude first, then latitude.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 from .errors import InputError
-from .model import Instance, _order
+from .model import Instance, _order, _real
 
 
 def route_geojson(order, departures, instance: Instance) -> dict:
     """The tour as a FeatureCollection: `order` must pass `_order` below
     instance.n_nodes, and each of its len(order) + 1 departures, depot first,
-    be a real number (not a bool or a string), finite and >= 0."""
+    pass `_real` with a bound of 0."""
     order = _order(order, instance.n_nodes)
-    departures = list(departures)
-    for i, v in enumerate(departures):
-        if not isinstance(v, numbers.Real) or isinstance(v, bool) or not 0 <= v < math.inf:
-            raise InputError(f"departures[{i}] must be a finite number >= 0, got {v!r}")
+    departures = [_real(v, f"departures[{i}]", 0) for i, v in enumerate(departures)]
     if len(departures) != len(order) + 1:
         raise InputError(
             f"expected {len(order) + 1} departures for {len(order)} visits, "

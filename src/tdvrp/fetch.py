@@ -15,16 +15,17 @@ query(origins, destinations, departure_time) takes two sequences of node
 indices and answers with (values, answered): an int64 array and a bool array,
 both of shape (len(origins), len(destinations)); a cell that is not answered
 is a hole. LiveBackend turns the indices into the instance's coordinates on
-the wire; RecordedBackend reads its answer as one tile of its store.
+the wire; RecordedBackend reads its answer as one tile of its store, and
+from_file reads its recording on the first query, never on a warm rerun.
 
 Elements are held in a dense store keyed by index: per departure epoch, an
 (n, n) int64 value layer and a boolean "known" mask. The cache file keeps its
 JSON-lines format (one {"o", "d", "t", "s"} record of four JSON integers per
-line). Lines exactly as execute_fetch writes them are read in one numpy
-pass; any other file goes through a JSON parser one line at a time, which
+line). Lines exactly as execute_fetch writes them are read as bytes in one
+numpy pass; any other file is decoded and parsed one line at a time, which
 names a bad line. The (o, d, t, s) rows are scattered into the store, a
-request is skipped when its tile is all known, and the matrix and the list
-of holes come straight from the arrays.
+request (its indices are ranges) is skipped when its tile, a basic slice,
+is all known, and the matrix and the list of holes come from the arrays.
 
 Quota arithmetic counts full N*N rectangles per layer (the provider bills the
 whole cross product, self-pairs included); the useful element count skips
@@ -52,7 +53,7 @@ from .errors import (
     QuotaExhaustedError,
     TransientBackendError,
 )
-from .model import Instance, MultiLayerMatrix, _integer, _read_text
+from .model import Instance, MultiLayerMatrix, _decode, _integer, _read_bytes
 
 DEFAULT_ELEMENTS_PER_REQUEST = 100
 FREE_DAILY_QUOTA = 2_500
@@ -67,8 +68,8 @@ RETRY_BASE_DELAY = 0.5  # seconds
 @dataclass(frozen=True)
 class FetchRequest:
     layer: int
-    origin_indices: tuple[int, ...]
-    destination_indices: tuple[int, ...]
+    origin_indices: range  # consecutive node indices, as plan_fetch tiles a layer
+    destination_indices: range
     departure_time: int  # epoch seconds
 
     @property
@@ -148,7 +149,7 @@ def plan_fetch(
     limit = min(elements_per_request_limit, daily_quota)
     # whole rows while a row fits under the cap, else one row cut into pieces
     rows, cols = max(1, limit // n_nodes), min(n_nodes, limit)
-    all_nodes = tuple(range(n_nodes))
+    all_nodes = range(n_nodes)
     reqs = []
     for layer in range(n_layers):
         departure = start_epoch + layer * step_seconds
@@ -204,15 +205,29 @@ class RecordedBackend:
     """Replays captured travel times; a pair that was not recorded is a hole.
 
     rows are (origin_index, destination_index, departure_epoch, seconds), as
-    read_cache_file returns them. They are held per recorded epoch in dense
-    layers, and a query answers with one tile of the values and of the mask.
+    read_cache_file returns them; from_file names a recording that the first
+    query reads. They are held per recorded epoch in dense layers, and a
+    query answers with a copy of one tile of the values and of the mask.
     """
 
     def __init__(self, instance: Instance, rows):
+        self._n_nodes = instance.n_nodes
+        self._path = None  # a recording from_file names, until a query reads it
+        self._hold(rows)
+
+    @classmethod
+    def from_file(cls, instance: Instance, path):
+        """The recording at `path`, which read_cache_file reads on the first
+        query: a fetch that sends no request never opens it."""
+        backend = cls(instance, ())
+        backend._path = path
+        return backend
+
+    def _hold(self, rows):
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
         epochs = np.unique(rows[:, 2])
         self._layer_of = {t: k for k, t in enumerate(epochs.tolist())}
-        self._values, self._known = _dense_layers(rows, instance.n_nodes, epochs)
+        self._values, self._known = _dense_layers(rows, self._n_nodes, epochs)
 
     @classmethod
     def from_matrix(cls, instance: Instance, matrix: MultiLayerMatrix, start_epoch: int):
@@ -227,12 +242,19 @@ class RecordedBackend:
         return cls(instance, np.column_stack([o, d, t, matrix.times.reshape(-1)]))
 
     def query(self, origins, destinations, departure_time):
-        tile = np.array(origins)[:, None], np.array(destinations)
+        if self._path is not None:
+            self._hold(read_cache_file(self._path))
+            self._path = None
         layer = self._layer_of.get(int(departure_time))
         if layer is None:
-            answered = tile[0] == tile[1]
+            answered = np.equal.outer(origins, destinations)
             return np.zeros(answered.shape, dtype=np.int64), answered
-        return self._values[layer][tile], self._known[layer][tile]
+        if type(origins) is type(destinations) is range and origins.step == destinations.step == 1:
+            # as plan_fetch makes them: a basic slice, far cheaper than an index array
+            tile = slice(origins.start, origins.stop), slice(destinations.start, destinations.stop)
+        else:
+            tile = np.array(origins)[:, None], np.array(destinations)
+        return self._values[layer][tile].copy(), self._known[layer][tile].copy()
 
 
 class LiveBackend:
@@ -340,10 +362,9 @@ def _provider_grid(rows, n_rows: int, n_cols: int):
 
 _RECORD = '{"o": %d, "d": %d, "t": %d, "s": %d}\n'
 _HOLE = -1
-_SKELETON = _RECORD.replace("%d", "")
-_DROP_NUMBERS = str.maketrans("", "", "0123456789-")
-_BLANK_SKELETON = str.maketrans(dict.fromkeys(_SKELETON, " "))
-_MINUS_NOT_BEFORE_DIGIT = re.compile("-(?![0-9])")
+_SKELETON = _RECORD.replace("%d", "").encode()
+_BLANK_SKELETON = bytes.maketrans(bytes(set(_SKELETON)), b" " * len(set(_SKELETON)))
+_MINUS_NOT_BEFORE_DIGIT = re.compile(rb"-(?![0-9])")
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
 _INT64 = np.iinfo(np.int64)
 
@@ -353,40 +374,43 @@ def read_cache_file(path) -> np.ndarray:
 
     Each whole line that is not blank must hold one record of four JSON
     integers. A file whose every line is as execute_fetch writes it is read
-    in one pass; any other is parsed one line at a time, which names the
-    first bad line. A file that cannot be read is an InputError.
+    in one pass over its bytes; any other is decoded and parsed one line at a
+    time, which names the first bad line. A file that cannot be read, or that
+    is not UTF-8 up to its last newline, is an InputError.
     """
-    text = _read_text(path)
-    text = text[: text.rfind("\n") + 1]  # what follows the last newline is a torn record
-    rows = _parse_written(text)
+    data = _read_bytes(path)
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        data = data[:end]  # what follows the last newline is a torn record
+    rows = _parse_written(data)
     if rows is None:
-        rows = _parse_lines(text.split("\n")[:-1], path)
+        rows = _parse_lines(_decode(data, path).split("\n")[:-1], path)
     return rows
 
 
-def _parse_written(text):
-    """The rows of `text` as an (m, 4) array if it is m lines of _RECORD,
+def _parse_written(data: bytes):
+    """The rows of `data` as an (m, 4) array if it is m lines of _RECORD,
     each value as %d writes it, else None.
 
-    With digits and "-" deleted the text must be the skeleton m times. No
+    With digits and "-" deleted the bytes must be the skeleton m times. No
     value may be empty and every "-" must be followed by a digit, so each
     value is one number of the form -?[0-9]+ and the numbers sit nowhere
     else; with the skeleton blanked, numpy must then read exactly 4m of
-    them. Their %d widths must add up to the digits and signs of the text,
+    them. Their %d widths must add up to the digits and signs of the bytes,
     which rules out leading zeros and "-0", and none may be an int64 limit,
     which is what numpy makes of an overflow.
     """
-    m = text.count("\n")
-    if text.translate(_DROP_NUMBERS) != _SKELETON * m:
+    m = data.count(b"\n")
+    if data.translate(None, b"0123456789-") != _SKELETON * m:
         return None
     # an empty value leaves the space of ": " right before "," or "}"
-    if " ," in text or " }" in text or _MINUS_NOT_BEFORE_DIGIT.search(text):
+    if b" ," in data or b" }" in data or _MINUS_NOT_BEFORE_DIGIT.search(data):
         return None
     try:
         with warnings.catch_warnings():
             # numpy 1.x warns where 2.x raises on text it cannot read to the end
             warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(text.translate(_BLANK_SKELETON), dtype=np.int64, sep=" ")
+            values = np.fromstring(data.translate(_BLANK_SKELETON), dtype=np.int64, sep=" ")
     except (ValueError, DeprecationWarning):
         return None
     if len(values) != 4 * m or _INT64.min in values or _INT64.max in values:
@@ -394,7 +418,7 @@ def _parse_written(text):
     # a value has one digit more than the powers of ten it reaches, and a sign if negative
     width = np.searchsorted(_POWERS_OF_TEN, np.abs(values), side="right").sum()
     width += len(values) + np.count_nonzero(values < 0)
-    if width != len(text) - len(_SKELETON) * m:
+    if width != len(data) - len(_SKELETON) * m:
         return None
     return values.reshape(-1, 4)
 
@@ -454,7 +478,8 @@ def execute_fetch(
     signal suspends the plan with progress preserved in the cache. Fetched
     values are stored as-is, never fixed; a hole is cached as -1 and reported
     at assembly, and MultiLayerMatrix refuses any other negative value.
-    Each request's departure_time is its layer's epoch, as plan_fetch makes it.
+    Each request's departure_time is its layer's epoch and its indices are
+    ranges, as plan_fetch makes them.
     """
     n = plan.n_nodes
     if instance.n_nodes != n:
@@ -465,13 +490,15 @@ def execute_fetch(
         rows = read_cache_file(cache_path)
         _cut_torn_record(cache_path)
     values, known = _dense_layers(rows, n, epochs)
+    del rows  # freed before a backend reads its recording on the first query
+    off_diagonal = ~np.eye(n, dtype=bool)
     cache_fh = open(cache_path, "a", encoding="utf-8") if cache_path else None
     try:
         for index, req in enumerate(plan.requests):
-            rows = np.array(req.origin_indices)[:, None]
-            cols = np.array(req.destination_indices)
-            tile = rows, cols
-            if known[req.layer][tile].all():
+            o, d = req.origin_indices, req.destination_indices
+            tile = slice(o.start, o.stop), slice(d.start, d.stop)
+            known_view = known[req.layer][tile]
+            if known_view.all():
                 continue
             try:
                 if budget is not None:
@@ -479,18 +506,17 @@ def execute_fetch(
                 got, answered = _query_with_retry(client, req, sleep)
             except QuotaExhaustedError:
                 raise PlanSuspendedError(index, len(plan.requests), cache_path)
-            answered = answered & (rows != cols)
-            # a cell neither answered nor known is a hole, known from now on
-            fresh = answered | ~known[req.layer][tile]
+            # a cell answered, or neither answered nor known, is fresh: a hole
+            # is known from now on; self-pairs stay as they are
+            fresh = answered & off_diagonal[tile] | ~known_view
             got = np.where(answered, got, _HOLE)
-            layer_values = values[req.layer]
-            layer_values[tile] = np.where(fresh, got, layer_values[tile])
-            known[req.layer][tile] = True
+            np.copyto(values[req.layer][tile], got, where=fresh)
+            known_view[...] = True
             if cache_fh is not None:
                 a, b = np.nonzero(fresh)
-                t = np.full(len(a), req.departure_time)
-                cells = np.column_stack([rows[a, 0], cols[b], t, got[a, b]])
-                cache_fh.write(_RECORD * len(a) % tuple(cells.ravel().tolist()))
+                cells = np.column_stack([a + o.start, b + d.start, got[a, b]])
+                record = _RECORD.replace('"t": %d', f'"t": {req.departure_time}')
+                cache_fh.write(record * len(a) % tuple(cells.ravel().tolist()))
                 cache_fh.flush()
     finally:
         if cache_fh is not None:

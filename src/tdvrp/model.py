@@ -14,6 +14,8 @@ so any number of evaluations may share a matrix concurrently.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -66,6 +68,18 @@ def _integer(value, name: str, low: int, high: int = 2**63) -> int:
         top = f"2**{high.bit_length() - 1}" if high > 2**32 and high & (high - 1) == 0 else high
         raise InputError(f"{name} must be an integer in [{low}, {top}), got {value!r}")
     return int(value)
+
+
+def _real(value, name: str, low, strict: bool = False):
+    """The one rule for real-number arguments: `value` if it is a real number
+    (a bool is not), finite and >= low, or > low if `strict`; else an
+    InputError naming `name` and the bound."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # written so that NaN fails it
+    if not real or not (low < value if strict else low <= value) or not value < math.inf:
+        bound = f"{'>' if strict else '>='} {low}"
+        raise InputError(f"{name} must be a finite number {bound}, got {value!r}")
+    return value
 
 
 def _as_times_array(times) -> np.ndarray:
@@ -337,12 +351,9 @@ class MatrixReport:
         return "; ".join(parts)
 
 
-_VALIDATE_BLOCK = 1 << 21  # elements: n = 101 is still one block of rows
-
-
 def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
     """Scan every layer for nonzero diagonal and triangle inequality
-    violations t(i,k) > t(i,j) + t(j,k).
+    violations t(i,k) > t(i,j) + t(j,k), in O(n^2) memory per layer.
 
     Diagnostic only: nothing is modified, and the solver accepts the matrix
     whatever its report says. Negative entries need no scan here: a
@@ -352,23 +363,27 @@ def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
     n = matrix.n_nodes
     diag = int((arr[:, range(n), range(n)] != 0).sum())
 
-    # excess[i, j, k] = t(i,k) - t(i,j) - t(j,k), over blocks of origin rows i
-    # so temporaries stay near _VALIDATE_BLOCK elements. Each layer is scanned
-    # with a zero diagonal, where a triple with a repeated node has excess
-    # <= 0 (no time is negative), so every positive entry is a violation.
-    rows = max(1, _VALIDATE_BLOCK // (n * n))
+    # excess(i, j, k) = (t(i,k) - t(i,j)) - t(j,k). Each layer is scanned with
+    # a zero diagonal, where a triple with a repeated node has excess <= 0 (no
+    # time is negative), so every positive excess is a violation. worst[i, k]
+    # is the largest excess over j, one intermediate node j at a time; only
+    # the rows i where it is positive are counted, one (n, n) slab each.
     layers = []
     for s in range(matrix.n_layers):
         d = arr[s].copy()
         np.fill_diagonal(d, 0)
-        count, worst = 0, 0
-        for i0 in range(0, n, rows):
-            block = d[i0 : i0 + rows]
-            excess = block[:, None, :] - block[:, :, None]
+        worst = np.subtract(d, d[:, :1]) - d[0]
+        excess = np.empty_like(worst)
+        for j in range(1, n):
+            np.subtract(d, d[:, j : j + 1], out=excess)
+            excess -= d[j]
+            np.maximum(worst, excess, out=worst)
+        count = 0
+        for i in np.flatnonzero(worst.max(axis=1) > 0):
+            excess = d[i] - d[i][:, None]
             excess -= d
-            count += int((excess > 0).sum())
-            worst = max(worst, excess.max().item())
-        layers.append(LayerReport(s, count, worst))
+            count += int(np.count_nonzero(excess > 0))
+        layers.append(LayerReport(s, count, max(0, worst.max().item())))
     return MatrixReport(diag, tuple(layers))
 
 
@@ -505,12 +520,24 @@ def load_instance(path) -> Instance:
 # --- the file boundary: every file the package reads or writes whole --------
 
 
-def _read_text(path) -> str:
+def _read_bytes(path) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _decode(data: bytes, path) -> str:
+    """The UTF-8 text of `data`, read from `path`; line ends are kept as they are."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_text(path) -> str:
+    return _decode(_read_bytes(path), path)
 
 
 def _write_text(path, text: str) -> None:

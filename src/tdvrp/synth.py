@@ -10,14 +10,13 @@ driving times.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, MultiLayerMatrix, _integer
+from .model import Instance, MultiLayerMatrix, _integer, _real
 
 EARTH_RADIUS_KM = 6371.0
 # travel times stay below this, so that two of them add up within int64
@@ -42,7 +41,8 @@ class TrafficProfile:
     peak_windows are (start_layer, end_layer, multiplier) with the layer range
     half-open; overlapping windows multiply. jitter_range is the uniform range
     of a per-direction factor drawn once per ordered node pair, so (i, j) and
-    (j, i) get independent values. The seed is an integer in [0, 2**64).
+    (j, i) get independent values. The seed is an integer in [0, 2**64);
+    window layers pass _integer and the other numbers _real.
     """
 
     base_speed_kmh: float = 25.0
@@ -52,20 +52,24 @@ class TrafficProfile:
 
     def __post_init__(self):
         windows = []
-        for start, end, mult in self.peak_windows:
-            if isinstance(mult, bool) or not 1.0 <= mult < math.inf:
-                raise InputError(f"peak multiplier must be >= 1 and finite, got {mult!r}")
+        for window in self.peak_windows:
+            try:
+                start, end, mult = window
+            except (TypeError, ValueError):
+                what = "peak window must be (start, end, multiplier)"
+                raise InputError(f"{what}, got {window!r}") from None
+            mult = _real(mult, "peak multiplier", 1)
             start = _integer(start, "peak start", 0)
             windows.append((start, _integer(end, "peak end", start + 1), mult))
         object.__setattr__(self, "peak_windows", tuple(windows))
-        object.__setattr__(self, "jitter_range", tuple(self.jitter_range))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2**64))
-        # written so that NaN fails each test
-        if not 0.0 < self.base_speed_kmh < math.inf:
-            raise InputError(f"base speed must be positive and finite, got {self.base_speed_kmh}")
-        lo, hi = self.jitter_range
-        if not 0.0 < lo <= hi < math.inf:
-            raise InputError(f"jitter range must be finite with 0 < lo <= hi, got ({lo}, {hi})")
+        _real(self.base_speed_kmh, "base speed", 0, strict=True)
+        try:
+            lo, hi = self.jitter_range
+        except (TypeError, ValueError):
+            raise InputError(f"jitter range must be (lo, hi), got {self.jitter_range!r}") from None
+        lo = _real(lo, "jitter low", 0, strict=True)
+        object.__setattr__(self, "jitter_range", (lo, _real(hi, "jitter high", lo)))
 
     def layer_multiplier(self, layer: int) -> float:
         mult = 1.0

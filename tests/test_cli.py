@@ -325,6 +325,33 @@ def test_fetch_recorded_backend_round_trip(tmp_path, rng, capsys):
     assert np.array_equal(fetched.times, source.times)
 
 
+def test_fetch_over_a_complete_cache_does_not_open_the_recording(tmp_path, rng, capsys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(grid_instance(4), inst_path)
+    source = make_matrix(random_layers(rng, 4, 2), 3600)
+    start = 1_700_000_000
+    fixture = tmp_path / "recorded.jsonl"
+    fixture.write_text("".join(
+        json.dumps({"o": o, "d": d, "t": start + s * 3600, "s": int(source.times[s, o, d])}) + "\n"
+        for s in range(2) for o in range(4) for d in range(4) if o != d
+    ))
+    cache = tmp_path / "cache.jsonl"
+
+    def fetch(out):
+        return main([
+            "fetch", "--instance", str(inst_path), "--backend", "recorded",
+            "--recorded", str(fixture), "--cache", str(cache), "--layers", "2",
+            "--step-seconds", "3600", "--start-epoch", str(start), "--out", str(out),
+        ])
+
+    assert fetch(tmp_path / "first.json") == 0
+    fixture.unlink()  # the recording is read only when a request must be sent
+    cached = cache.read_bytes()
+    assert fetch(tmp_path / "rerun.json") == 0
+    assert (tmp_path / "rerun.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+    assert cache.read_bytes() == cached
+
+
 def test_fetch_refuses_a_recorded_negative_time(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     save_instance(grid_instance(4), inst_path)

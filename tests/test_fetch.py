@@ -42,7 +42,7 @@ def test_tiny_plan_is_one_request():
     assert len(plan.requests) == 1
     assert plan.total_elements == 2  # self-pairs skipped
     req = plan.requests[0]
-    assert req.origin_indices == (0, 1) and req.destination_indices == (0, 1)
+    assert req.origin_indices == range(0, 2) and req.destination_indices == range(0, 2)
 
 
 def test_requests_respect_element_limit():

@@ -1,10 +1,12 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tdvrp import model
 from tdvrp.errors import InputError, RouteError
 from tdvrp.model import (
     Instance,
@@ -258,17 +260,59 @@ def test_validate_matches_exhaustive_scan(rng):
             assert report.layers[s].worst_violation == worst
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 9),
+    dtype=st.sampled_from([np.int64, np.float64]),
+    zero_diagonal=st.booleans(),
+)
+def test_validate_matches_exhaustive_scan_on_any_layer(data, n, dtype, zero_diagonal):
+    cells = st.integers(0, 50) if dtype is np.int64 else st.floats(0, 100)
+    arr = data.draw(arrays(dtype, (2, n, n), elements=cells))
+    if zero_diagonal:
+        arr[:, range(n), range(n)] = 0
+    report = validate_matrix(MultiLayerMatrix(times=arr, step_seconds=3600))
+    assert report.nonzero_diagonal == np.count_nonzero(arr[:, range(n), range(n)])
+    for s, layer in enumerate(report.layers):
+        got = (layer.triangle_violations, layer.worst_violation)
+        assert got == triangle_violations_scan(arr[s].tolist())
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 5])
-def test_validate_in_row_blocks_matches_exhaustive_scan(rng, monkeypatch, block_rows):
+def test_validate_in_row_blocks_matches_exhaustive_scan(rng, block_rows):
+    # Off-diagonal times in [10, 15] meet every triangle inequality; raising
+    # cells of a block of origin rows above 30 makes violations whose origin
+    # lies only in that block, so the exact count runs on those rows alone.
     for _ in range(5):
-        n = int(rng.integers(3, 9))
-        monkeypatch.setattr(model, "_VALIDATE_BLOCK", block_rows * n * n)
-        layers = rng.integers(0, 50, size=(2, n, n))  # diagonals left nonzero
+        n = int(rng.integers(6, 10))
+        layers = rng.integers(10, 16, size=(2, n, n))  # diagonals left nonzero
+        i0 = int(rng.integers(0, n - block_rows + 1))
+        for s in range(2):
+            for i in range(i0, i0 + block_rows):
+                k = int(rng.choice([c for c in range(n) if c != i]))
+                layers[s, i, k] = rng.integers(31, 60)
         for arr in (layers, layers + 0.5):
             report = validate_matrix(MultiLayerMatrix(times=arr, step_seconds=3600))
             for s, layer in enumerate(report.layers):
+                assert layer.triangle_violations > 0
                 got = (layer.triangle_violations, layer.worst_violation)
                 assert got == triangle_violations_scan(arr[s].tolist())
+
+
+def test_validate_holds_no_cube_of_a_layer():
+    n = 150
+    times = np.random.default_rng(3).integers(0, 1000, size=(1, n, n))
+    matrix = MultiLayerMatrix(times=times, step_seconds=60)
+    tracemalloc.start()
+    try:
+        report = validate_matrix(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.layers[0].triangle_violations > 0  # every row is counted too
+    # an (n, n, n) int64 temporary would be n**3 * 8 B, about 27 MB
+    assert peak < n**3 * 8 / 10
 
 
 def test_validate_flags_nonzero_diagonal():

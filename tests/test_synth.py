@@ -38,12 +38,40 @@ def test_profile_validation():
         ((-1, 3, 1.5), "peak start must be an integer in [0, 2**63), got -1"),
         ((1, 2.5, 1.5), "peak end must be an integer in [2, 2**63), got 2.5"),
         ((2, 2, 1.5), "peak end must be an integer in [3, 2**63), got 2"),
-        ((0, 2, True), "peak multiplier must be >= 1 and finite, got True"),
+        ((0, 2, True), "peak multiplier must be a finite number >= 1, got True"),
+        ((0, 2, "2"), "peak multiplier must be a finite number >= 1, got '2'"),
+        ((0, 2, float("nan")), "peak multiplier must be a finite number >= 1, got nan"),
+        ((0, 2, 0.5), "peak multiplier must be a finite number >= 1, got 0.5"),
+        ((0, 2), "peak window must be (start, end, multiplier), got (0, 2)"),
+        (3, "peak window must be (start, end, multiplier), got 3"),
     ],
 )
 def test_peak_windows_are_whole_layers_and_real_multipliers(window, expected):
     with pytest.raises(InputError) as info:
         TrafficProfile(peak_windows=[(0, 1, 2.0), window])
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "field, expected",
+    [
+        ({"base_speed_kmh": True}, "base speed must be a finite number > 0, got True"),
+        ({"base_speed_kmh": "25"}, "base speed must be a finite number > 0, got '25'"),
+        ({"base_speed_kmh": 0}, "base speed must be a finite number > 0, got 0"),
+        ({"base_speed_kmh": float("inf")}, "base speed must be a finite number > 0, got inf"),
+        ({"jitter_range": (True, 1.0)}, "jitter low must be a finite number > 0, got True"),
+        ({"jitter_range": ("0.9", 1.2)}, "jitter low must be a finite number > 0, got '0.9'"),
+        ({"jitter_range": (0.0, 1.0)}, "jitter low must be a finite number > 0, got 0.0"),
+        ({"jitter_range": (0.9, "1.2")}, "jitter high must be a finite number >= 0.9, got '1.2'"),
+        ({"jitter_range": (1.2, 0.9)}, "jitter high must be a finite number >= 1.2, got 0.9"),
+        ({"jitter_range": (0.9, 1.0, 1.1)},
+         "jitter range must be (lo, hi), got (0.9, 1.0, 1.1)"),
+    ],
+)
+def test_speed_and_jitter_are_finite_real_numbers(field, expected):
+    # True once passed as 1.0, and a string raised a bare TypeError
+    with pytest.raises(InputError) as info:
+        TrafficProfile(**field)
     assert str(info.value) == expected
 
 
