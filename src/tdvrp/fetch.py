@@ -403,7 +403,10 @@ def _parse_written(data: bytes):
     m = data.count(b"\n")
     if data.translate(None, b"0123456789-") != _SKELETON * m:
         return None
-    # an empty value leaves the space of ": " right before "," or "}"
+    # an empty value leaves the space of ": " right before "," or "}". The
+    # skeleton and the count of numbers both pass it when a digit outside the
+    # slots makes up for it, as in {"o": , "d": 0, "t": 0, "s": 0}5, so these
+    # scans stay; one regex, or scans for b": ," and b": }", saves < 4 ms on 5.6 MB
     if b" ," in data or b" }" in data or _MINUS_NOT_BEFORE_DIGIT.search(data):
         return None
     try:

@@ -21,17 +21,18 @@ departure times, so local two-arc arithmetic would be wrong. One rejoin walk
 drives its detour (into and out of the new node, or past the deleted one)
 and re-walks only the rest of the tour. All candidates of one move advance
 together: one array step per arc (`model._advance`), or, on an integer
-matrix, one step per layer run (`_layer_runs`). The walk names every arc by
+matrix, one pass per layer (`_layer_runs`). The walk names every arc by
 its flat index origin * n + destination, so an arc step is one `take` from
 the flattened layers; on a one-layer matrix, such as the averaged baseline,
 a step skips the layer lookup. Within one layer a tour's arc times are
-fixed, so a prefix sum per layer of each priced tour carries a candidate
-across every arc it leaves within its current layer at once; each step takes
-it to a later layer or to the depot. Integer sums are exact, so both give the
-same bits; `_rejoin` alone asks a cost model (`_by_layer_runs`) which is
-cheaper. Float matrices are always walked arc by arc: prefix sums would
-change the order of float additions. Prefix sums are monotone:
-MultiLayerMatrix refuses negative times.
+fixed, so the pass of layer s, over a prefix sum of each priced tour's
+layer-s times, carries every candidate then in layer s across all the arcs
+it leaves within that layer at once, to a later layer or to the depot; the
+passes stop once every candidate has reached the depot. Integer sums are
+exact, so both give the same bits; `_rejoin` alone asks a cost model
+(`_by_layer_runs`) which is cheaper. Float matrices are always walked arc by
+arc: prefix sums would change the order of float additions. Prefix sums are
+monotone: MultiLayerMatrix refuses negative times.
 
 The n_grasp construction trials grow in lockstep: after m insertions every
 trial has m clients placed and the same number left, so one walk prices the
@@ -39,21 +40,25 @@ insertion grids of all trials at once; one stable argsort per trial
 (`enumerate_insertions`) ranks its grid, and the drawn rank names the
 column of the client and the slot. Step m always offers
 (m + 1) * (clients - m) candidates, whatever was picked before, so every
-pick is drawn up front, one scalar `rng.integers` call per pick in the order
-the trials would draw them one after another; the stream, and the state
-improvement continues from, match a trial-by-trial build.
+pick is drawn up front in one `rng.integers` call, its bounds laid out in
+the order the trials would draw them one after another. An array of bounds
+draws the values, and leaves the generator state, of one scalar call per
+bound, so the stream, and the state improvement continues from, match a
+trial-by-trial build.
 
 Improvement rounds run in speculative batches. Most rounds do not beat the
 incumbent, and a round's draws do not depend on its tour: deletion d offers
 min(k_del, clients - d) picks and reinsertion e min(k_ins, slots), whatever
-was deleted. So every draw is made up front, in round-by-round order, and a
-batch of up to MAX_BATCH rounds then runs from the same incumbent in
-lockstep, one walk per move for all of them (the first deletion, on the
-shared incumbent, is priced once). The first round of the batch that beats
-the incumbent is kept and the rounds after it are dropped; the next batch
-starts at the round after the kept one, with its draws unchanged. A batch
-is one round after an acceptance and doubles after a batch that keeps
-none. Tours, traces and the generator state match a round-by-round search.
+was deleted. So every draw is made up front in one call, laid out round by
+round (deletions, then reinsertions), and a batch of up to MAX_BATCH
+rounds then runs from the same incumbent in lockstep, one walk per move for
+all of them (the first deletion, on the shared incumbent, is priced once).
+The first round of the batch that beats the incumbent is kept and the
+rounds after it are dropped; the next batch starts at the round after the
+kept one, with its draws unchanged. The first batch is one round; a batch
+keeps its size after an acceptance and doubles after a batch that keeps
+none. The batch size sets only how many rounds share a walk: tours, traces
+and the generator state match a round-by-round search.
 
 All randomness comes from one numpy PCG64 stream seeded once per solve, and
 every candidate list is sorted with deterministic tie-breaks, so results are
@@ -183,15 +188,15 @@ def _by_layer_runs(arcs, lanes, clock, matrix: MultiLayerMatrix) -> bool:
     Only integer matrices qualify: prefix sums would change the order of
     float additions. Otherwise the one a cost model says is cheaper, in µs,
     fitted to both on tours of 8-200 clients and 1-30 trials (2 vCPUs): an
-    arc step of the walk costs about 6 µs and 2.5 ns a lane (on average half
-    the lanes still move), and a run step 12 µs and 33 ns a lane, after
-    40 µs of set-up. A lane takes one run step per layer its tour reaches,
-    plus one for a layer the move's detour reaches.
+    arc step of the walk costs about 4 µs and 2 ns a lane (on average half
+    the lanes still move), and a layer pass 4 µs and 30 ns a lane, after
+    30 µs more set-up than the walk. A move takes one pass per layer its
+    tours reach, plus one for a layer its detours reach.
     """
     if matrix.times.dtype != np.int64:
         return False
     steps = min(matrix.n_layers, int(clock.max()) // matrix.step_seconds + 2)
-    return 40 + steps * (12 + lanes / 30) < arcs * (6 + lanes / 400)
+    return 30 + steps * (4 + lanes / 33) < arcs * (4 + lanes / 480)
 
 
 def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
@@ -200,63 +205,71 @@ def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
     Lane r stands at paths[tour[r]][pos[r]] at time k[r] (`tour` and `pos`
     broadcast to the shape of `k`) and drives the rest of that tour, every arc
     priced on the layer of its own departure. Within one layer a tour's arc
-    times are fixed, so prefix[t, s, x], the layer-s time of the first x arcs
-    of tour t, prices a whole run of same-layer arcs in one step: a lane in
-    layer s at position i drives on to the first position y whose departure,
-    k + prefix[t, s, y] - prefix[t, s, i], falls past the layer's end (one
-    `searchsorted`), or to the depot; in the last layer it always drives to
-    the depot. Each step takes every lane to a later layer or to the depot,
-    so at most one step per layer. Arc times are integers, and >= 0 in every
-    MultiLayerMatrix; the sums are exact, equal to the scalar walk's bit for bit.
+    times are fixed, so prefix[s, t, x], the layer-s time of the first x arcs
+    of tour t, prices a whole run of same-layer arcs at once: a lane in layer
+    s at position i drives on to the first position y whose departure,
+    k + prefix[s, t, y] - prefix[s, t, i], falls past the layer's end, or to
+    the depot. One pass per layer moves every lane: the pass of layer s
+    leaves a lane already past layer s, or at the depot, where it stands, and
+    in the last layer every lane drives to the depot, with no search. The
+    passes stop once every lane is at the depot.
+
+    Layer s is one slab of rows, one per tour, laid end to end: row t is
+    tour t's prefix sums, shifted past row t - 1 by more than any search
+    reaches, then a sentinel column. So one `searchsorted` per pass serves
+    every lane. The sentinel holds the depot's value, under a search key at
+    the row's ceiling: a lane whose budget outlasts its tour stops there, at
+    the depot's time, and never reads the next row. A budget is capped at
+    top + 1 s, more than any tour needs, so a lane cannot search past that
+    ceiling. Arc times are integers, and >= 0 in every MultiLayerMatrix; the
+    sums are exact, equal to the scalar walk's bit for bit.
     """
     times, step = matrix.times, matrix.step_seconds
     layers = matrix.n_layers
     trials, size = paths.shape
-    prefix = np.zeros((trials, layers, size), dtype=np.int64)
+    cols = size + 1  # the tour's positions, then the sentinel
     own = paths[:, :-1] * matrix.n_nodes + paths[:, 1:]
-    arcs = times.reshape(layers, -1)[:, own]  # (layers, trials, arcs)
-    np.cumsum(arcs.transpose(1, 0, 2), axis=2, out=prefix[:, :, 1:])
-    # rows laid end to end, each past the one before by more than any
-    # threshold reaches, so one searchsorted serves every (tour, layer) row
-    top = int(prefix[:, :, -1].max())
-    width = 2 * top + 2
-    if trials * layers * width >= 2**63:
+    slab = np.zeros((layers, trials, cols), dtype=np.int64)
+    np.cumsum(times.reshape(layers, -1)[:, own], axis=2, out=slab[:, :, 1:size])
+    slab[:, :, size] = slab[:, :, size - 1]
+    top = int(slab[:, :, size].max())
+    width = 2 * top + 2  # a row's span: its sums, then a budget of top + 1
+    if trials * width >= 2**63:
         raise InputError(
-            f"travel times too large to price exactly: {trials} tours x {layers} layers "
+            f"travel times too large to price exactly: {trials} tours "
             f"x {width} s overflows 64-bit seconds"
         )
-    prefix += np.arange(0, trials * layers * width, width).reshape(trials, layers, 1)
-    flat = prefix.ravel()
-    # a lane's layer ends at ends[s]; past the last, never (a lane there
-    # needs at most `top` more seconds, so its budget is capped at top + 1)
-    ends = np.arange(1, layers + 1, dtype=np.int64) * step
-    ends[-1] = np.iinfo(np.int64).max
-    row = tour * (layers * size)  # each lane's layer-0 row, as a flat index
-    at = np.empty(k.shape, dtype=np.int64)  # flat index of each lane's position
-    np.add(row, pos, out=at)
-    depot = at - pos
+    # from 0, in int64: an arange that starts at width - 1 sizes itself in floats
+    rows = np.arange(trials, dtype=np.int64) * width
+    slab += rows[:, None]
+    key = slab[:-1].copy()  # the last layer is never searched
+    key[:, :, size] = rows + (2 * top + 1)
+    slab, key = slab.reshape(layers, trials * cols), key.reshape(layers - 1, trials * cols)
+    at = np.empty(k.shape, dtype=np.int64)  # each lane's column in its slab
+    np.add(tour * cols, pos, out=at)
+    depot = at - pos  # and its tour's depot column
     depot += size - 1
     shape, at, depot = k.shape, at.ravel(), depot.ravel()
     k = k.astype(np.int64).ravel()
-    for _ in range(layers):
-        s = k // step
-        np.minimum(s, layers - 1, out=s)
-        budget = ends[s]
-        budget -= k
+    # no lane is at the depot for good before the latest start has moved
+    # (initial=0: a move may have no lanes)
+    latest = min(int(k.max(initial=0)) // step, layers - 1)
+    for s in range(layers - 1):
+        values = slab[s]
+        start = values[at]
+        budget = np.subtract((s + 1) * step, k)  # <= 0 for a lane past layer s
         np.minimum(budget, top + 1, out=budget)
-        s *= size  # from the layer-0 row to the layer-s row
-        here = at + s
-        start = flat[here]
         budget += start
-        arrive = np.searchsorted(flat, budget)
-        end = depot + s
-        np.minimum(arrive, end, out=arrive)
-        gain = flat[arrive]
+        np.maximum(key[s].searchsorted(budget), at, out=at)
+        gain = values[at]
         gain -= start
         k += gain
-        if (arrive == end).all():
-            break
-        np.subtract(arrive, s, out=at)
+        if s >= latest and (at >= depot).all():
+            return k.reshape(shape)
+    values = slab[-1]
+    gain = values[depot]
+    gain -= values[at]
+    k += gain
     return k.reshape(shape)
 
 
@@ -276,20 +289,19 @@ def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int):
     """
     k_grasp = _integer(k_grasp, "k_grasp", 1)
     clients = matrix.n_nodes - 1
-    # see the module docstring: scalar draws, in trial-by-trial order
-    picks = [
-        [int(rng.integers(0, min(k_grasp, (m + 1) * (clients - m)))) for m in range(clients)]
-        for _ in range(trials)
-    ]
+    # see the module docstring: one draw call, laid out trial by trial
+    bounds = [min(k_grasp, (m + 1) * (clients - m)) for m in range(clients)]
+    picks = rng.integers(0, bounds * trials).tolist()
     paths = [[0, 0] for _ in range(trials)]
     clocks = [[0, 0] for _ in range(trials)]
     remaining = [list(range(1, clients + 1)) for _ in range(trials)]
     for m in range(clients):
         deltas = _insertion_deltas(paths, clocks, remaining, matrix)
-        for t, (path, clock, free, pick) in enumerate(zip(paths, clocks, remaining, picks)):
+        for t, (path, clock, free) in enumerate(zip(paths, clocks, remaining)):
             # the candidate at the trial's drawn rank; `free` is ascending, so
             # ties break by (node, slot)
-            column, pos = divmod(int(enumerate_insertions(deltas[:, t])[pick[m]]), m + 1)
+            pick = picks[t * clients + m]
+            column, pos = divmod(int(enumerate_insertions(deltas[:, t])[pick]), m + 1)
             _insert(path, clock, pos, free.pop(column), matrix)
     return paths, clocks
 
@@ -350,16 +362,14 @@ def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> Solve
     clients, l_delete = len(order), params.l_delete
     if l_delete > clients:
         raise InputError(f"l_delete={l_delete} exceeds the {clients} clients in the route")
-    # see the module docstring: scalar draws, in round-by-round order
+    # see the module docstring: one draw call, laid out round by round
+    bounds = [min(params.k_del, clients - d) for d in range(l_delete)]
+    bounds += [min(params.k_ins, clients - l_delete + e + 1) for e in range(l_delete)]
+    picks = rng.integers(0, bounds * params.n_improve).tolist()
+    per_round = 2 * l_delete
     draws = [
-        (
-            [int(rng.integers(0, min(params.k_del, clients - d))) for d in range(l_delete)],
-            [
-                int(rng.integers(0, min(params.k_ins, clients - l_delete + e + 1)))
-                for e in range(l_delete)
-            ],
-        )
-        for _ in range(params.n_improve)
+        (picks[r : r + l_delete], picks[r + l_delete : r + per_round])
+        for r in range(0, len(picks), per_round)
     ]
     schedule = _order_schedule(order, matrix)
     best_path, best_clock = [0, *order, 0], [*schedule.departures, schedule.total_cost]
@@ -377,7 +387,6 @@ def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> Solve
             trace += [best_clock[-1]] * won
             best_path, best_clock = paths[won], clocks[won]
             trace.append(best_clock[-1])
-            batch = 1
     schedule = Schedule(tuple(best_clock[:-1]), best_clock[-1])
     return _result(best_path[1:-1], schedule, trace, params)
 

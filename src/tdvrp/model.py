@@ -222,8 +222,7 @@ class SolverParams:
 
 def layer_index(k, matrix: MultiLayerMatrix) -> int:
     """Layer holding departures at time k; past-horizon times use the last layer."""
-    if not k >= 0:  # written so that NaN fails it
-        raise InputError(f"departure time must be >= 0, got {k}")
+    k = _real(k, "departure time", 0)
     return min(int(k // matrix.step_seconds), matrix.n_layers - 1)
 
 
@@ -249,7 +248,11 @@ def _order_schedule(order, matrix: MultiLayerMatrix) -> Schedule:
 
 def _arrivals(k, prev, nodes, matrix: MultiLayerMatrix) -> list:
     """Scalar walk: leave `prev` at time k, visit `nodes` in order and return
-    the arrival time at each; every arc is priced at its departure's layer."""
+    the arrival time at each; every arc is priced at its departure's layer.
+
+    Arcs are looked up with `times.item`: a nested-list copy of the layers is
+    20-35% faster a call but holds about 3 MB more at 101 nodes x 8 layers,
+    and a flat `item` or a memoryview index is no faster."""
     step = matrix.step_seconds
     last = matrix.n_layers - 1
     times = matrix.times

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdvrp.errors import InputError
 from tdvrp.grasp import (
@@ -99,6 +99,26 @@ def test_ranking_is_sorted_by_delta_then_column_then_slot(data):
         key=lambda flat: (grid[flat % slots][flat // slots], flat // slots, flat % slots),
     )
     assert enumerate_insertions(np.array(grid, dtype=np.int64)).tolist() == expected
+
+
+# --- draws -----------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bounds=st.lists(st.integers(1, 2**40), max_size=60),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(bounds=[], seed=0)
+@example(bounds=[1, 2**32 - 1, 2**32, 2**32 + 1, 3, 2**40, 1, 7], seed=1)
+def test_one_draw_call_matches_one_scalar_call_per_bound(bounds, seed):
+    # construction and improvement draw every pick of a phase in one call
+    # with an array of bounds; it must give the values, and leave the
+    # generator state, of the scalar calls a one-at-a-time search makes
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    picks = batched.integers(0, bounds).tolist()
+    assert picks == [int(scalar.integers(0, bound)) for bound in bounds]
+    assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 # --- construction ----------------------------------------------------------------

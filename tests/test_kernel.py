@@ -128,9 +128,11 @@ def _finish(path, pos, k, matrix):
 @SETTINGS
 @given(data=st.data())
 def test_layer_runs_match_the_reference_walk(data):
-    # 1-4 equal-length tours; lanes start from the tours' own clocks and
-    # from arbitrary times up to far past the horizon
-    n_layers = data.draw(st.integers(1, 8))
+    # 1-4 equal-length tours; lanes start from the tours' own clocks, from
+    # times within a tour's span and from times up to far past the horizon.
+    # Up to 48 layers: on a horizon far longer than the tours, lanes reach
+    # the depot layers apart and most passes find every lane there
+    n_layers = data.draw(st.integers(1, 48))
     step = data.draw(st.integers(1, 3600))
     clients = data.draw(st.integers(0, 13))
     high = data.draw(st.sampled_from([1, 4, 2000]))  # 1: every arc takes 0 s
@@ -142,9 +144,11 @@ def test_layer_runs_match_the_reference_walk(data):
         for _ in range(data.draw(st.integers(1, 4)))
     ]
     paths = np.array([[0, *order, 0] for order in orders], dtype=np.intp)
+    span = 2000 * n  # longer than any tour here takes
     lanes = data.draw(st.lists(
         st.tuples(st.integers(0, len(orders) - 1), st.integers(0, clients + 1),
-                  st.one_of(st.none(), st.integers(0, 3 * n_layers * step + 2000 * n))),
+                  st.one_of(st.none(), st.integers(0, span),
+                            st.integers(0, 3 * n_layers * step + span))),
         min_size=1, max_size=30,
     ))
     tour, pos, k, expected = [], [], [], []
@@ -161,20 +165,55 @@ def test_layer_runs_match_the_reference_walk(data):
     assert got.tolist() == expected
 
 
+def _lanes_from_the_depot(trials):
+    return np.zeros(trials, dtype=np.int64), np.arange(trials), np.zeros(trials, dtype=np.intp)
+
+
 def test_layer_runs_refuse_sums_that_would_wrap():
-    # 30 tours x 8 layers x 41 arcs near 1e15 s: the laid-out rows pass 2**63
+    # 30 tours x 8 layers x 41 arcs: a layer's slab lays the 30 rows end to
+    # end, each 2 * top + 2 s wide, which passes 2**63 near 1e16 s an arc
     rng = np.random.default_rng(3)
     paths = np.array([[0, *rng.permutation(np.arange(1, 41)), 0] for _ in range(30)])
-    lanes = np.zeros(30, dtype=np.int64), np.arange(30), np.zeros(30, dtype=np.intp)
-    for scale, fits in ((10**14, True), (10**15, False)):
+    for scale, fits in ((10**14, True), (10**15, True), (10**16, False)):
         times = rng.integers(scale // 2, scale, size=(8, 41, 41))
         matrix = MultiLayerMatrix(times=times, step_seconds=3600)
         if fits:
-            got = _layer_runs(paths, *lanes, matrix)
+            got = _layer_runs(paths, *_lanes_from_the_depot(30), matrix)
             assert got.tolist() == [_finish(path.tolist(), 0, 0, matrix) for path in paths]
         else:
             with pytest.raises(InputError, match="too large to price exactly"):
-                _layer_runs(paths, *lanes, matrix)
+                _layer_runs(paths, *_lanes_from_the_depot(30), matrix)
+    # as many of those tours as fit below 2**63, the longest first: the last
+    # row sits just under the limit and is priced exactly
+    tops = times[:, paths[:, :-1], paths[:, 1:]].sum(axis=2).max(axis=0)
+    paths = paths[np.argsort(-tops, kind="stable")]
+    fit = (2**63 - 1) // (2 * int(tops.max()) + 2)
+    assert 1 < fit < 30
+    got = _layer_runs(paths[:fit], *_lanes_from_the_depot(fit), matrix)
+    assert got.tolist() == [_finish(path.tolist(), 0, 0, matrix) for path in paths[:fit]]
+    with pytest.raises(InputError, match="too large to price exactly"):
+        _layer_runs(paths[: fit + 1], *_lanes_from_the_depot(fit + 1), matrix)
+
+
+def test_layer_runs_on_a_horizon_far_past_the_tours():
+    # 48 layers x 1,800 s; a tour of 21 arcs spans about 15 of them. Lanes
+    # from every slot of every tour, at 0 s and at the tours' own clocks,
+    # reach the depot many layers apart
+    rng = np.random.default_rng(48)
+    matrix = MultiLayerMatrix(times=rng.integers(600, 1900, size=(48, 21, 21)), step_seconds=1800)
+    paths = np.array([[0, *rng.permutation(np.arange(1, 21)), 0] for _ in range(3)])
+    tour, pos = np.meshgrid(np.arange(3), np.arange(22), indexing="ij")
+    clocks = [[*departures, total] for departures, total in (_naive(p[1:-1], matrix) for p in paths)]
+    for k in (np.zeros(tour.shape, dtype=np.int64), np.array(clocks, dtype=np.int64)):
+        expected = [
+            [_finish(paths[t].tolist(), p, int(k[t, p]), matrix) for p in range(22)]
+            for t in range(3)
+        ]
+        assert max(map(max, expected)) < 30 * 1800
+        assert _layer_runs(paths, k, tour, pos, matrix).tolist() == expected
+    # inserting into complete tours: no node left, so no lane
+    none = np.zeros((22, 3, 0), dtype=np.int64)
+    assert _layer_runs(paths, none, tour.T[:, :, None], pos.T[:, :, None], matrix).shape == (22, 3, 0)
 
 
 def test_forty_client_solve_by_layer_runs_matches_the_walk(monkeypatch):
@@ -410,8 +449,9 @@ def _round_by_round(order, matrix, params, rng):
 
 def _acceptances(start_cost, trace):
     """(round's place in its batch, batch length) of every accepted round,
-    replaying the batch schedule: one round after an acceptance, twice as
-    many after a batch that accepts none, at most MAX_BATCH."""
+    replaying the batch schedule: one round at first, as many after an
+    acceptance, twice as many after a batch that accepts none, at most
+    MAX_BATCH."""
     costs = [start_cost, *trace]
     accepted = [costs[r + 1] < costs[r] for r in range(len(trace))]
     places, r, batch = [], 0, 1
@@ -420,7 +460,7 @@ def _acceptances(start_cost, trace):
         if True in rounds:
             won = rounds.index(True)
             places.append((won, len(rounds)))
-            r, batch = r + won + 1, 1
+            r += won + 1
         else:
             r, batch = r + len(rounds), min(2 * batch, MAX_BATCH)
     return places

@@ -69,10 +69,37 @@ def test_layer_index_rejects_negative():
 def test_layer_index_and_travel_time_reject_nan():
     # travel_time once raised a bare ValueError from int(nan)
     m = constant_matrix(3, 100)
-    with pytest.raises(InputError, match="departure time must be >= 0, got nan"):
+    with pytest.raises(InputError, match="departure time must be a finite number >= 0, got nan"):
         layer_index(float("nan"), m)
-    with pytest.raises(InputError, match="departure time must be >= 0, got nan"):
+    with pytest.raises(InputError, match="departure time must be a finite number >= 0, got nan"):
         travel_time(0, 1, float("nan"), m)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        # int(inf // step) raised a bare ValueError
+        (float("inf"), "got inf"),
+        # a bool was layer 0
+        (True, "got True"),
+        # a string or None raised a bare TypeError
+        ("5", "got '5'"),
+        (None, "got None"),
+    ],
+    ids=["inf", "bool", "string", "none"],
+)
+def test_layer_index_and_travel_time_take_only_finite_real_departures(k, message):
+    m = constant_matrix(3, 100, n_layers=3, step_seconds=60)
+    for call in (lambda: layer_index(k, m), lambda: travel_time(0, 1, k, m)):
+        with pytest.raises(InputError, match=f"departure time must be a finite number >= 0, {message}"):
+            call()
+
+
+def test_layer_index_takes_a_numpy_float():
+    # layer s drives every arc in 100 * (s + 1) s
+    m = MultiLayerMatrix(times=np.full((3, 3, 3), 100) * np.arange(1, 4)[:, None, None], step_seconds=60)
+    assert layer_index(np.float64(61.5), m) == 1
+    assert travel_time(0, 1, np.float64(61.5), m) == 200
 
 
 # --- travel time --------------------------------------------------------------
