@@ -437,14 +437,15 @@ def result_to_json(result: SolveResult) -> str:
 
 
 def result_from_json(text: str) -> dict:
-    """Parse a result file back into a plain dict (route, departures, costs)."""
+    """Parse a result file back into a plain dict (route, departures, costs).
+
+    Only the shape is checked here, an object with 'route' and 'departures_s'
+    lists; `export.route_geojson` checks their entries."""
     doc = _parse_json(text, "result")
     if not {"route", "departures_s"} <= doc.keys():
         raise InputError(
             "result document must be a JSON object with 'route' and 'departures_s' fields"
         )
-    for name, kind in (("route", "integer"), ("departures_s", "number")):
-        values = _expect(doc[name], "list", f"result field '{name}'")
-        for i, v in enumerate(values):
-            _expect(v, kind, f"result entry {name}[{i}]")
+    for name in ("route", "departures_s"):
+        _expect(doc[name], "list", f"result field '{name}'")
     return doc

@@ -2,16 +2,23 @@
 
 Exhaustive search over client permutations gives the exact optimum (the
 time-dependent arc costs make the integer formulation nonlinear, so
-enumeration is the honest oracle). A separate checker verifies that an
-arc-variable solution satisfies the degree constraints and the
-Miller-Tucker-Zemlin subtour-elimination condition.
+enumeration is the honest oracle). The last clients of a tour are permuted
+in one block, walked breadth first down the lexicographic prefix tree of
+their permutations: level j holds each distinct choice of the block's first
+j + 1 clients once and takes one arc step from its parent's clock, so a
+partial tour shared by many permutations is priced once. A block of 7
+clients makes 18,739 lane steps where one walk per permutation makes
+8 x 5,040 = 40,320. A separate checker verifies that an arc-variable
+solution satisfies the degree constraints and the Miller-Tucker-Zemlin
+subtour-elimination condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, pairwise, permutations
+from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -19,8 +26,9 @@ from .errors import InputError
 from .model import Instance, MultiLayerMatrix, Route, Schedule, _advance, _order, _order_schedule
 
 MAX_CLIENTS = 10  # the search is factorial
-# the last BLOCK_CLIENTS clients of a tour are permuted in one batch of
-# at most 7! = 5,040 lanes
+# the last BLOCK_CLIENTS clients of a tour are permuted in one block, a
+# prefix tree of 7 + 42 + 210 + 840 + 2,520 + 5,040 lanes, then 5,040 for
+# each step to the last client and back to the depot: 18,739 lane steps
 BLOCK_CLIENTS = 7
 
 
@@ -80,24 +88,26 @@ def brute_force_optimum(instance: Instance, matrix: MultiLayerMatrix) -> tuple[R
     clients = range(1, n)
     width = min(n_clients, BLOCK_CLIENTS)
     suffixes = _suffix_columns(width)
-    depot = np.zeros(suffixes.shape[1], dtype=np.intp)
+    levels = _prefix_tree(width)
     best_order = None
     best_cost = None
     # prefixes come in lexicographic order and so do the suffixes behind
     # each, so the first minimum found is the lexicographically smallest
     for prefix in permutations(clients, n_clients - width):
-        rest = np.array(sorted(set(clients) - set(prefix)), dtype=np.intp)
-        k = np.full(len(depot), _order_schedule(prefix, matrix).departures[-1],
-                    dtype=matrix.times.dtype)
-        # arcs as flat indices, built one step at a time: a stacked array of
-        # every arc would add its size to the peak memory
-        start = [prefix[-1] if prefix else 0]
-        nodes = chain(start, (rest[column] for column in suffixes), [depot])
-        costs = _advance(k, (a * n + b for a, b in pairwise(nodes)), matrix)
-        lane = int(np.argmin(costs))
-        if best_cost is None or costs[lane] < best_cost:
-            best_order = prefix + tuple(int(v) for v in rest[suffixes[:, lane]])
-            best_cost = costs[lane]
+        rest = sorted(set(clients) - set(prefix))
+        # arc (a, b) of the block is entry a * (width + 1) + b: a and b index
+        # rest, and index width is the prefix's last node as an origin and
+        # the depot as a destination
+        origins = np.array(rest + [prefix[-1] if prefix else 0], dtype=np.intp)
+        ends = np.array(rest + [0], dtype=np.intp)
+        arcs = (origins[:, None] * n + ends).reshape(-1)
+        k = np.full(1, _order_schedule(prefix, matrix).departures[-1], dtype=matrix.times.dtype)
+        for parent, pair in levels:
+            k = _advance(k[parent], [arcs[pair]], matrix)
+        lane = int(np.argmin(k))
+        if best_cost is None or k[lane] < best_cost:
+            best_order = prefix + tuple(rest[v] for v in suffixes[:, lane])
+            best_cost = k[lane]
     route = Route(best_order)
     return route, _order_schedule(route.order, matrix)
 
@@ -109,6 +119,31 @@ def _suffix_columns(width: int) -> np.ndarray:
     table = np.array(list(permutations(range(width))), dtype=np.intp).T.copy()
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def _prefix_tree(width: int) -> tuple:
+    """The levels of the lexicographic prefix tree over _suffix_columns(width),
+    one (parent, pair) per arc step, the step back to the depot last.
+
+    State s of level j < width is the first j + 1 entries of column
+    s * (width - j - 1)!, and it steps from state parent[s] of the level
+    before (one start state before level 0) along arc pair[s]; the depot
+    level has one state per column. A pair is a * (width + 1) + b, where
+    index width stands for the block's start as a and the depot as b.
+    """
+    table = _suffix_columns(width)
+    edge = np.full((1, table.shape[1]), width, dtype=np.intp)
+    path = np.concatenate([edge, table, edge])
+    levels = []
+    for j in range(width + 1):
+        heads = np.arange(0, table.shape[1], factorial(max(width - j - 1, 0)))
+        parent = np.arange(len(heads)) // max(width - j, 1)
+        pair = path[j, heads] * (width + 1) + path[j + 1, heads]
+        parent.setflags(write=False)
+        pair.setflags(write=False)
+        levels.append((parent, pair))
+    return tuple(levels)
 
 
 def route_to_arcs(route: Route) -> ArcSolution:

@@ -471,17 +471,18 @@ def test_file_errors_exit_with_input_error(case, small_setup, tmp_path, capsys):
     [
         ({"route": "ab", "departures_s": [0, 1, 2]},
          """result field 'route' = "ab" is not a JSON list"""),
+        # result_from_json checks only the shape; each entry meets one rule in
+        # route_geojson, the tour rule or the departure rule
         ({"route": ["1", 2.9], "departures_s": [0, 1, 2]},
-         """result entry route[0] = "1" is not a JSON integer"""),
+         "route node must be an integer in [1, 5), got '1'"),
         ({"route": [1, 2.9], "departures_s": [0, 1, 2]},
-         "result entry route[1] = 2.9 is not a JSON integer"),
+         "route node must be an integer in [1, 5), got 2.9"),
         ({"route": [1, True], "departures_s": [0, 1, 2]},
-         "result entry route[1] = true is not a JSON integer"),
+         "route node must be an integer in [1, 5), got True"),
         ({"route": [1, 2], "departures_s": [0, "60", 90]},
-         """result entry departures_s[1] = "60" is not a JSON number"""),
+         "departures[1] must be a finite number >= 0, got '60'"),
         ({"route": [1, 2], "departures_s": None},
          "result field 'departures_s' = null is not a JSON list"),
-        # the tour rule and the departure rule of route_geojson
         ({"route": [1, 1, 2], "departures_s": [0, 60, 120, 180]},
          "route [1, 1, 2] visits node 1 twice"),
         ({"route": [1, 2], "departures_s": [0, -5, 7]},

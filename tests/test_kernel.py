@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdvrp import grasp
 from tdvrp.errors import InputError
@@ -35,7 +35,7 @@ from tdvrp.grasp import (
 )
 from tdvrp.instances import random_instance
 from tdvrp.model import MultiLayerMatrix, SolverParams, _advance, average_matrix
-from tdvrp.oracle import brute_force_optimum
+from tdvrp.oracle import _prefix_tree, _suffix_columns, brute_force_optimum
 from tdvrp.synth import TrafficProfile, generate_synthetic
 
 from conftest import constant_matrix, grid_instance, naive_departures, random_layers
@@ -534,11 +534,47 @@ def test_speculative_improvement_accepting_within_a_batch(seed, place):
 
 def _plain_scan(matrix):
     """Lexicographically first cheapest tour, one full walk per permutation."""
+    layers = matrix.times.tolist()
     best = min(
         permutations(range(1, matrix.n_nodes)),
-        key=lambda perm: _naive(perm, matrix)[1],
+        key=lambda perm: naive_departures(list(perm), layers, matrix.step_seconds)[1],
     )
     return best, _naive(best, matrix)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_prefix_tree_rebuilds_every_suffix_column(width):
+    # index width is the block's start as an origin and the depot as a
+    # destination; every state extends its parent's path by one arc
+    paths = [[width]]
+    for parent, pair in _prefix_tree(width):
+        origin, end = np.divmod(pair, width + 1)
+        assert [paths[p][-1] for p in parent] == origin.tolist()
+        paths = [paths[p] + [b] for p, b in zip(parent.tolist(), end.tolist())]
+    assert {path[-1] for path in paths} == {width}
+    assert np.array_equal(np.array([path[1:-1] for path in paths]).T, _suffix_columns(width))
+    if width == 7:
+        assert sum(len(pair) for _, pair in _prefix_tree(width)) == 18_739
+
+
+def _nine_nodes(n_layers, step, high, fractional, seed):
+    times = np.random.default_rng(seed).integers(0, high, size=(n_layers, 9, 9))
+    return MultiLayerMatrix(times=times / 3.0 if fractional else times, step_seconds=step)
+
+
+@settings(max_examples=5, deadline=None)
+@given(matrix=matrices(min_nodes=9, max_nodes=9))
+@example(matrix=_nine_nodes(3, 900, 4, False, 1))  # ties everywhere
+@example(matrix=_nine_nodes(2, 150, 2000, True, 2))  # fractional
+@example(matrix=_nine_nodes(1, 3600, 2000, False, 3))  # one layer
+@example(matrix=_nine_nodes(4, 1, 2000, False, 4))  # every departure past the horizon
+def test_oracle_across_blocks_matches_plain_scan(matrix):
+    # 8 clients: 8 blocks of 7 behind a 1-client prefix
+    route, sched = brute_force_optimum(grid_instance(9), matrix)
+    order, (departures, total) = _plain_scan(matrix)
+    assert route.order == order
+    assert _exact(sched.departures) == _exact(departures)
+    assert _exact([sched.total_cost]) == _exact([total])
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from tdvrp.errors import InputError
-from tdvrp.model import Route, evaluate_route
+from tdvrp.grasp import solve
+from tdvrp.model import Route, SolverParams, evaluate_route
 from tdvrp.oracle import (
+    MAX_CLIENTS,
     ArcSolution,
     brute_force_optimum,
     check_milp_feasibility,
@@ -63,6 +65,18 @@ def test_cap_refuses_large_instances():
     m = constant_matrix(13, 100)
     with pytest.raises(InputError):
         brute_force_optimum(inst, m)
+
+
+def test_the_cap_itself_is_searched(rng):
+    # MAX_CLIENTS clients: 720 blocks of 7 behind 3-client prefixes
+    n = MAX_CLIENTS + 1
+    inst = grid_instance(n)
+    route, sched = brute_force_optimum(inst, constant_matrix(n, 500, n_layers=3, step_seconds=1200))
+    assert route.order == tuple(range(1, n)) and sched.total_cost == 500 * n
+    matrix = make_matrix(random_layers(rng, n, 4, low=60, high=900), 1800)
+    route, sched = brute_force_optimum(inst, matrix)
+    assert evaluate_route(route, matrix) == sched
+    assert sched.total_cost <= solve(inst, matrix, SolverParams(seed=0)).best_schedule.total_cost
 
 
 # --- arc encoding ---------------------------------------------------------------
