@@ -53,7 +53,9 @@ from .errors import (
     QuotaExhaustedError,
     TransientBackendError,
 )
-from .model import Instance, MultiLayerMatrix, _decode, _integer, _read_bytes
+from .model import (
+    Instance, MultiLayerMatrix, _decode, _integer, _integers, _read_bytes, _same_nodes
+)
 
 DEFAULT_ELEMENTS_PER_REQUEST = 100
 FREE_DAILY_QUOTA = 2_500
@@ -205,8 +207,9 @@ class RecordedBackend:
     """Replays captured travel times; a pair that was not recorded is a hole.
 
     rows are (origin_index, destination_index, departure_epoch, seconds), as
-    read_cache_file returns them; from_file names a recording that the first
-    query reads. They are held per recorded epoch in dense layers, and a
+    read_cache_file returns them, every entry an integer by `_integers`;
+    from_matrix needs integer times, and from_file names a recording that the
+    first query reads. They are held per recorded epoch in dense layers, and a
     query answers with a copy of one tile of the values and of the mask.
     """
 
@@ -224,22 +227,20 @@ class RecordedBackend:
         return backend
 
     def _hold(self, rows):
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+        rows = _integers(rows, "rows").reshape(-1, 4)
         epochs = np.unique(rows[:, 2])
         self._layer_of = {t: k for k, t in enumerate(epochs.tolist())}
         self._values, self._known = _dense_layers(rows, self._n_nodes, epochs)
 
     @classmethod
     def from_matrix(cls, instance: Instance, matrix: MultiLayerMatrix, start_epoch: int):
-        if instance.n_nodes != matrix.n_nodes:
-            raise InputError(
-                f"matrix covers {matrix.n_nodes} nodes but instance has {instance.n_nodes}"
-            )
+        _same_nodes("matrix", matrix.n_nodes, instance.n_nodes)
         step, last = matrix.step_seconds, matrix.n_layers - 1
         start_epoch = _integer(start_epoch, "start_epoch", 0, 2**63 - last * step)
         layer, o, d = np.indices(matrix.times.shape).reshape(3, -1)
         t = start_epoch + step * layer
-        return cls(instance, np.column_stack([o, d, t, matrix.times.reshape(-1)]))
+        seconds = _integers(matrix.times, "times").reshape(-1)  # a float matrix is refused
+        return cls(instance, np.column_stack([o, d, t, seconds]))
 
     def query(self, origins, destinations, departure_time):
         if self._path is not None:
@@ -280,7 +281,7 @@ class LiveBackend:
 
             session = requests.Session()
         self._session = session
-        self._places = [f"{lat:.6f},{lon:.6f}" for lat, lon in instance.coordinates()]
+        self._places = [f"{node.lat:.6f},{node.lon:.6f}" for node in instance.nodes]
 
     def query(self, origins, destinations, departure_time):
         params = {
@@ -485,8 +486,7 @@ def execute_fetch(
     ranges, as plan_fetch makes them.
     """
     n = plan.n_nodes
-    if instance.n_nodes != n:
-        raise InputError(f"plan covers {n} nodes but instance has {instance.n_nodes}")
+    _same_nodes("plan", n, instance.n_nodes)
     epochs = plan.start_epoch + plan.step_seconds * np.arange(plan.n_layers, dtype=np.int64)
     rows = np.empty((0, 4), dtype=np.int64)  # a cache not written yet is empty
     if cache_path is not None and os.path.exists(cache_path):

@@ -88,6 +88,7 @@ from .model import (
     _order,
     _order_schedule,
     _parse_json,
+    _same_nodes,
 )
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -398,10 +399,7 @@ def solve(instance: Instance, matrix: MultiLayerMatrix, params: SolverParams) ->
     result; only changing the seed can change it. l_delete is clamped to the
     client count, and the result's params record the value used.
     """
-    if matrix.n_nodes != instance.n_nodes:
-        raise InputError(
-            f"matrix covers {matrix.n_nodes} nodes but instance has {instance.n_nodes}"
-        )
+    _same_nodes("matrix", matrix.n_nodes, instance.n_nodes)
     params = replace(params, l_delete=min(params.l_delete, matrix.n_nodes - 1))
     rng = np.random.default_rng(params.seed)
     constructed = run_grasp(matrix, params, rng)

@@ -33,51 +33,79 @@ class Node:
 
 @dataclass(frozen=True)
 class Instance:
-    """A depot plus client locations. Node ids are 0..N-1 with the depot at 0."""
+    """A depot (node 0) plus client locations, checked here whether loaded or
+    built in code: ids 0..N-1 each once, in any order, by `_integer`; finite
+    coordinates in [-90, 90] and [-180, 180] by `_real`; str labels. Errors
+    name the node's position and field. Nodes are kept ordered by id, as
+    Python int, float and str."""
 
     nodes: tuple[Node, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if len(self.nodes) < 2:
+        given, nodes = tuple(self.nodes), {}
+        if len(given) < 2:
             raise InputError("an instance needs a depot plus at least one client")
-        for pos, node in enumerate(self.nodes):
-            if node.id != pos:
-                raise InputError(
-                    f"node ids must be 0..N-1 in order; position {pos} has id {node.id}"
-                )
-            if not -90.0 <= node.lat <= 90.0:
-                raise InputError(f"node {node.id}: latitude {node.lat} out of range")
-            if not -180.0 <= node.lon <= 180.0:
-                raise InputError(f"node {node.id}: longitude {node.lon} out of range")
+        for pos, node in enumerate(given):
+            at = f"nodes[{pos}]"
+            node_id = _integer(node.id, f"{at}.id", 0, len(given))
+            if node_id in nodes:
+                raise InputError(f"{at}.id = {node_id} repeats an earlier node's id")
+            lat = float(_real(node.lat, f"{at}.lat", -90, high=90))
+            lon = float(_real(node.lon, f"{at}.lon", -180, high=180))
+            if not isinstance(node.label, str):
+                raise InputError(f"{at}.label must be a string, got {node.label!r}")
+            nodes[node_id] = Node(node_id, lat, lon, str(node.label))
+        object.__setattr__(self, "nodes", tuple(nodes[i] for i in range(len(given))))
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def coordinates(self) -> list[tuple[float, float]]:
-        return [(n.lat, n.lon) for n in self.nodes]
-
 
 def _integer(value, name: str, low: int, high: int = 2**63) -> int:
     """The one rule for integer arguments: `value` as an int if it is an integer
     (a bool is not) in [low, high), by default in int64; else an InputError
-    naming `name` and the bounds, where a power of two past 2**32 reads 2**e."""
+    naming `name` and the bounds."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not integer or not low <= int(value) < high:
-        top = f"2**{high.bit_length() - 1}" if high > 2**32 and high & (high - 1) == 0 else high
-        raise InputError(f"{name} must be an integer in [{low}, {top}), got {value!r}")
+        bounds = f"[{_shown(low)}, {_shown(high)})"
+        raise InputError(f"{name} must be an integer in {bounds}, got {value!r}")
     return int(value)
 
 
-def _real(value, name: str, low, strict: bool = False):
+def _shown(bound: int):
+    """An integer bound as a message shows it: a power of two past 2**32 reads 2**e."""
+    e = abs(bound).bit_length() - 1
+    return f"{'-' if bound < 0 else ''}2**{e}" if abs(bound) == 2**e > 2**32 else bound
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """The one rule for integer arrays: `values` as an int64 array, each entry
+    checked by `_integer` (named name[i][j]...) unless it is a signed numpy
+    integer array; numpy would read True as 1 and "5" as 5, and cast 1.7 to 1."""
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.dtype.kind != "i":
+        for at, value in enumerate(arr.flat):
+            index = "".join(f"[{i}]" for i in np.unravel_index(at, arr.shape))
+            _integer(value, name + index, -(2**63))
+    return arr.astype(np.int64, copy=False)
+
+
+def _same_nodes(what: str, n_nodes: int, instance_nodes: int) -> None:
+    """The one node-count rule: `what` must cover as many nodes as the instance."""
+    if n_nodes != instance_nodes:
+        raise InputError(f"{what} covers {n_nodes} nodes but the instance has {instance_nodes}")
+
+
+def _real(value, name: str, low, strict: bool = False, high=math.inf):
     """The one rule for real-number arguments: `value` if it is a real number
-    (a bool is not), finite and >= low, or > low if `strict`; else an
-    InputError naming `name` and the bound."""
+    (a bool is not), finite and >= low (> low if `strict`, with no `high`)
+    and <= high; else an InputError naming `name` and the bounds."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     # written so that NaN fails it
-    if not real or not (low < value if strict else low <= value) or not value < math.inf:
-        bound = f"{'>' if strict else '>='} {low}"
+    if not real or not (low < value if strict else low <= value) or not value <= high \
+            or value == math.inf:
+        bound = f"in [{low}, {high}]" if high < math.inf else f"{'>' if strict else '>='} {low}"
         raise InputError(f"{name} must be a finite number {bound}, got {value!r}")
     return value
 
@@ -480,28 +508,13 @@ def instance_to_json(instance: Instance) -> str:
 def instance_from_json(text: str) -> Instance:
     doc = _parse_json(text, "instance")
     _require_version(doc, "instance")
-    depot = doc.get("depot_index", 0)
-    if type(depot) is not int or depot != 0:
-        raise InputError(
-            f"instance field 'depot_index' = {json.dumps(depot)} is not the JSON integer 0"
-        )
+    _integer(doc.get("depot_index", 0), "depot_index", 0, 1)  # the depot is node 0
     try:
-        nodes = [_node_from_json(raw, pos) for pos, raw in enumerate(doc["nodes"])]
-    except (KeyError, TypeError, OverflowError) as exc:  # an int too large for a float
+        nodes = [Node(raw["id"], raw["lat"], raw["lon"], raw.get("label", ""))
+                 for raw in doc["nodes"]]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
-    return Instance(nodes=tuple(sorted(nodes, key=lambda node: node.id)))
-
-
-def _node_from_json(raw: dict, pos: int) -> Node:
-    """Entry `pos` of an instance's node list; each field must have its JSON type."""
-
-    def field(name, kind):
-        return _expect(raw[name], kind, f"instance entry nodes[{pos}].{name}")
-
-    node_id = field("id", "integer")
-    lat, lon = (float(field(name, "number")) for name in ("lat", "lon"))
-    label = field("label", "string") if "label" in raw else ""
-    return Node(node_id, lat, lon, label)
+    return Instance(nodes=nodes)
 
 
 def save_matrix(matrix: MultiLayerMatrix, path) -> None:
@@ -549,7 +562,7 @@ def _write_text(path, text: str) -> None:
 
 
 # the Python types of each JSON kind; a bool (an int to Python) is none of them
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "list": (list,)}
+_JSON_TYPES = {"integer": (int,), "list": (list,)}
 
 
 def _expect(value, kind: str, where: str):

@@ -23,7 +23,10 @@ from math import factorial
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, MultiLayerMatrix, Route, Schedule, _advance, _order, _order_schedule
+from .model import (
+    Instance, MultiLayerMatrix, Route, Schedule, _advance, _integers, _order, _order_schedule,
+    _same_nodes,
+)
 
 MAX_CLIENTS = 10  # the search is factorial
 # the last BLOCK_CLIENTS clients of a tour are permuted in one block, a
@@ -44,8 +47,7 @@ class ArcSolution:
     u: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int64)
-        u = np.asarray(self.u, dtype=np.int64)
+        x, u = _integers(self.x, "x"), _integers(self.u, "u")
         if x.ndim != 2 or x.shape[0] != x.shape[1]:
             raise InputError(f"x must be square, got shape {x.shape}")
         if u.shape != (x.shape[0],):
@@ -78,8 +80,7 @@ def brute_force_optimum(instance: Instance, matrix: MultiLayerMatrix) -> tuple[R
     with more than MAX_CLIENTS clients.
     """
     n = instance.n_nodes
-    if matrix.n_nodes != n:
-        raise InputError(f"matrix covers {matrix.n_nodes} nodes, instance has {n}")
+    _same_nodes("matrix", matrix.n_nodes, n)
     n_clients = n - 1
     if n_clients > MAX_CLIENTS:
         raise InputError(
@@ -167,36 +168,20 @@ def check_milp_feasibility(sol: ArcSolution, n: int) -> list[Violation]:
 
     Every node needs exactly one departure and one arrival; for every ordered
     client pair i != j the condition u_i - u_j + n*x_ij <= n - 1 must hold.
-    Returns one entry per violated constraint; an empty list means feasible.
+    Returns one entry per violated constraint, out-degree by row, in-degree
+    by column, then subtour-order row-major; an empty list means feasible.
     """
-    if sol.n_nodes != n:
-        raise InputError(f"solution covers {sol.n_nodes} nodes, expected {n}")
-    x, u = sol.x, sol.u
-    violations = []
-    for i in range(n):
-        row = int(x[i].sum())
-        if row != 1:
-            violations.append(
-                Violation("out-degree", (i,), f"row {i} sums to {row}, expected 1")
-            )
-    for j in range(n):
-        col = int(x[:, j].sum())
-        if col != 1:
-            violations.append(
-                Violation("in-degree", (j,), f"column {j} sums to {col}, expected 1")
-            )
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                continue
-            lhs = int(u[i]) - int(u[j]) + n * int(x[i, j])
-            if lhs > n - 1:
-                violations.append(
-                    Violation(
-                        "subtour-order",
-                        (i, j),
-                        f"u[{i}]-u[{j}]+{n}*x[{i},{j}] = {lhs} > {n - 1}",
-                    )
-                )
+    _same_nodes("solution", sol.n_nodes, n)
+    x, u = sol.x, sol.u.astype(object)  # Python ints: u_i - u_j cannot wrap
+    violations = [
+        Violation(kind, (i,), f"{line} {i} sums to {total}, expected 1")
+        for kind, line, axis in (("out-degree", "row", 1), ("in-degree", "column", 0))
+        for i, total in enumerate(x.sum(axis=axis).tolist())
+        if total != 1
+    ]
+    # over client pairs; the diagonal is 0 <= n - 1, as x has a zero diagonal
+    lhs = u[1:, None] - u[1:] + n * x[1:, 1:]
+    for i, j in (np.argwhere(lhs > n - 1) + 1).tolist():
+        detail = f"u[{i}]-u[{j}]+{n}*x[{i},{j}] = {lhs[i - 1, j - 1]} > {n - 1}"
+        violations.append(Violation("subtour-order", (i, j), detail))
     return violations
-

@@ -221,6 +221,22 @@ def test_gen_matrix_rejects_travel_times_past_64_bits(flag, value, named, small_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, expected",
+    [("--peak", "0:1", "START:END:MULT"), ("--peak", "a:1:2", "START:END:MULT"),
+     ("--jitter", "0.9", "LO:HI"), ("--jitter", "0.9:x", "LO:HI")],
+)
+def test_gen_matrix_rejects_profile_flags_it_cannot_parse(flag, value, expected, small_setup,
+                                                          tmp_path, capsys):
+    _, inst_path, _, _ = small_setup
+    out = tmp_path / "matrix-out.json"
+    rc = main(["gen-matrix", "--instance", str(inst_path), "--layers", "2", flag, value,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: bad {flag} '{value}', expected {expected}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 @pytest.mark.parametrize("command", ["gen-instance", "gen-matrix", "fetch"])
 def test_a_seed_outside_64_unsigned_bits_is_an_input_error(command, seed, small_setup,

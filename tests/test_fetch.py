@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 import tdvrp
 from tdvrp.errors import (
@@ -26,7 +27,7 @@ from tdvrp.fetch import (
     read_cache_file,
 )
 from tdvrp.cli import main
-from tdvrp.model import matrix_to_json, save_instance
+from tdvrp.model import average_matrix, matrix_to_json, save_instance
 from tdvrp.synth import TrafficProfile, generate_synthetic
 
 from conftest import grid_instance, make_matrix, random_layers
@@ -86,15 +87,6 @@ def test_single_day_bounds_match_quota_arithmetic():
     assert plan_fetch(65, 24, start_epoch=START, daily_quota=100_000).days_needed == 2
     assert plan_fetch(10, 24, start_epoch=START, daily_quota=2_500).days_needed == 1
     assert plan_fetch(11, 24, start_epoch=START, daily_quota=2_500).days_needed == 2
-
-
-@pytest.mark.parametrize("arg, value", [("n_layers", 2.0), ("daily_quota", 100.0),
-                                        ("n_layers", True)])
-def test_single_day_bound_refuses_counts_that_are_not_integers(arg, value):
-    # 2.0 once raised a bare TypeError from isqrt
-    with pytest.raises(InputError) as info:
-        max_nodes_single_day(**{"n_layers": 2, "daily_quota": 100, arg: value})
-    assert str(info.value) == f"{arg} must be an integer in [1, 2**63), got {value!r}"
 
 
 def test_self_pair_accounting_flag():
@@ -249,6 +241,51 @@ def test_missing_pair_reports_holes():
     with pytest.raises(IncompleteMatrixError) as err:
         execute_fetch(plan, backend, inst)
     assert (0, 1, 2) in err.value.holes
+
+
+@pytest.mark.parametrize(
+    "row, entry",
+    [
+        # each was once cast to int64: 1.7 replayed 1 s, "5" 5 s, epoch 100.9 epoch 100
+        ((0, 1, START, 1.7), "rows[0][3] must be an integer in [-2**63, 2**63), got 1.7"),
+        ((0, 1, START, "5"), "rows[0][3] must be an integer in [-2**63, 2**63), got '5'"),
+        ((0, 1, 100.9, 60), "rows[0][2] must be an integer in [-2**63, 2**63), got 100.9"),
+        ((0, True, START, 60), "rows[0][1] must be an integer in [-2**63, 2**63), got True"),
+        (np.array([0.0, 1.0, START, 60.0]),
+         f"rows[0] must be an integer in [-2**63, 2**63), got {np.float64(0)!r}"),
+    ],
+    ids=["float-seconds", "string-seconds", "float-epoch", "bool-node", "float-array"],
+)
+def test_recorded_rows_that_are_not_integers_are_refused(row, entry):
+    with pytest.raises(InputError) as info:
+        RecordedBackend(grid_instance(2), row if isinstance(row, np.ndarray) else [row])
+    assert str(info.value) == entry
+
+
+def test_recorded_rows_build_an_empty_store_and_integer_arrays_need_no_scan(
+    tmp_path, monkeypatch
+):
+    inst = grid_instance(3)
+    values, answered = RecordedBackend(inst, ()).query(range(3), range(3), START)
+    assert not values.any() and np.array_equal(answered, np.eye(3, dtype=bool))
+    backend, matrix = _constant_backend(inst, 1, 3600)
+    plan = plan_fetch(3, 1, step_seconds=3600, start_epoch=START)
+    cache = tmp_path / "cache.jsonl"
+    execute_fetch(plan, backend, inst, cache_path=cache)
+
+    def per_value(*args):
+        raise AssertionError("an int64 array was checked value by value")
+
+    monkeypatch.setattr("tdvrp.model._integer", per_value)
+    replayed = RecordedBackend(inst, read_cache_file(cache))
+    RecordedBackend.from_matrix(inst, matrix, START)
+    monkeypatch.undo()
+    assert execute_fetch(plan, replayed, inst).times.tolist() == matrix.times.tolist()
+    with pytest.raises(InputError) as info:
+        RecordedBackend.from_matrix(inst, average_matrix(matrix), START)
+    assert str(info.value) == (
+        f"times[0][0][0] must be an integer in [-2**63, 2**63), got {np.float64(0)!r}"
+    )
 
 
 def test_transient_failures_are_retried():
@@ -453,6 +490,42 @@ def test_live_backend_request_shape_and_parsing():
     assert params["departure_time"] == str(START)
     assert params["origins"] == "48.800000,2.300000"
     assert params["destinations"] == "48.800000,2.320000|48.820000,2.300000"
+
+
+class StatusSession:
+    """Answers every request with an HTTP status, or raises `error`."""
+
+    def __init__(self, status=200, error=None):
+        self.status, self.error = status, error
+
+    def get(self, url, params=None, timeout=None):
+        if self.error is not None:
+            raise self.error
+        return FakeResponse("<html>down</html>", status_code=self.status)
+
+
+@pytest.mark.parametrize(
+    "session, kind, message",
+    [
+        (StatusSession(503), TransientBackendError, "server error HTTP 503"),
+        (StatusSession(404), PermanentBackendError, "HTTP 404: <html>down</html>"),
+        (StatusSession(error=requests.ConnectionError("refused")), TransientBackendError,
+         "request failed: refused"),
+    ],
+    ids=["5xx-transient", "4xx-permanent", "request-exception-transient"],
+)
+def test_live_backend_sorts_http_failures(session, kind, message):
+    backend = LiveBackend(grid_instance(2), api_key="k", session=session)
+    with pytest.raises(kind) as info:
+        backend.query((0,), (1,), START)
+    assert type(info.value) is kind and str(info.value) == message
+
+
+def test_an_ok_element_without_a_duration_is_a_hole():
+    payload = _ok_rows([{"status": "OK"}, _seconds(42)])
+    backend = LiveBackend(grid_instance(3), api_key="k", session=FakeSession(payload))
+    values, answered = backend.query((0,), (1, 2), START)
+    assert answered.tolist() == [[False, True]] and values.tolist() == [[0, 42]]
 
 
 def test_live_backend_maps_provider_statuses():

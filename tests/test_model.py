@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tdvrp.errors import InputError, RouteError
+from tdvrp.fetch import RecordedBackend, execute_fetch, plan_fetch
+from tdvrp.grasp import solve
 from tdvrp.model import (
     Instance,
     MultiLayerMatrix,
@@ -24,9 +26,11 @@ from tdvrp.model import (
     travel_time,
     validate_matrix,
 )
+from tdvrp.oracle import brute_force_optimum, check_milp_feasibility, route_to_arcs
 
 from conftest import (
     constant_matrix,
+    grid_instance,
     make_matrix,
     naive_departures,
     random_layers,
@@ -345,7 +349,10 @@ def test_validate_holds_no_cube_of_a_layer():
 def test_validate_flags_nonzero_diagonal():
     arr = np.full((1, 3, 3), 10, dtype=np.int64)
     m = make_matrix(arr, 3600)
-    assert validate_matrix(m).nonzero_diagonal == 3
+    report = validate_matrix(m)
+    assert report.nonzero_diagonal == 3
+    # every triangle through a zeroed diagonal holds: 10 <= 10 + 10
+    assert report.summary() == "3 nonzero diagonal entries"
 
 
 # --- types and file formats --------------------------------------------------
@@ -365,6 +372,9 @@ def test_matrix_structural_validation():
         MultiLayerMatrix(times=np.zeros((2, 3)), step_seconds=60)
     with pytest.raises(InputError):
         MultiLayerMatrix(times=np.zeros((1, 3, 4)), step_seconds=60)
+    with pytest.raises(InputError) as info:
+        MultiLayerMatrix(times=np.zeros((0, 2, 2), dtype=np.int64), step_seconds=60)
+    assert str(info.value) == "need at least 1 layer and 2 nodes, got shape (0, 2, 2)"
 
 
 @pytest.mark.parametrize(
@@ -502,12 +512,13 @@ def _instance_document(**node_fields):
     ],
 )
 def test_instance_json_rejects_coerced_node_fields(field, value, kind):
+    # `kind` is the JSON type the field needs; Instance's node rule names it
     text = json.dumps(_instance_document(**{field: value}))
     with pytest.raises(InputError) as info:
         instance_from_json(text)
-    assert str(info.value) == (
-        f"instance entry nodes[1].{field} = {json.dumps(value)} is not a JSON {kind}"
-    )
+    rule = {"integer": "an integer in [0, 2)", "string": "a string",
+            "number": f"a finite number in {'[-90, 90]' if field == 'lat' else '[-180, 180]'}"}
+    assert str(info.value) == f"nodes[1].{field} must be {rule[kind]}, got {value!r}"
 
 
 @pytest.mark.parametrize("depot", ["0", 0.0, False, 3])
@@ -515,9 +526,7 @@ def test_instance_json_rejects_a_depot_other_than_node_0(depot):
     text = json.dumps({**_instance_document(), "depot_index": depot})
     with pytest.raises(InputError) as info:
         instance_from_json(text)
-    assert str(info.value) == (
-        f"instance field 'depot_index' = {json.dumps(depot)} is not the JSON integer 0"
-    )
+    assert str(info.value) == f"depot_index must be an integer in [0, 1), got {depot!r}"
 
 
 def test_instance_json_reads_integer_coordinates_and_a_missing_label():
@@ -525,6 +534,79 @@ def test_instance_json_reads_integer_coordinates_and_a_missing_label():
     del doc["nodes"][1]["label"]
     del doc["depot_index"]
     assert instance_from_json(json.dumps(doc)).nodes[1] == Node(1, 48.0, 2.0, "")
+
+
+# --- the node rule: Instance checks every node, loaded or built in code ------
+
+
+def _coordinate(low, high):
+    """A coordinate in [low, high] as a Python or numpy int or float."""
+    return st.one_of(st.floats(low, high), st.integers(low, high),
+                     st.floats(low, high).map(np.float64), st.integers(low, high).map(np.int64))
+
+
+@st.composite
+def _nodes(draw, max_label=8):
+    """Valid nodes in any id order, ids as Python or numpy integers."""
+    n = draw(st.integers(2, 6))
+    as_id = draw(st.sampled_from([int, np.int64, np.uint16]))
+    return [
+        Node(as_id(i), draw(_coordinate(-90, 90)), draw(_coordinate(-180, 180)),
+             draw(st.text(max_size=max_label)))
+        for i in draw(st.permutations(range(n)))
+    ]
+
+
+@given(_nodes())
+def test_instances_built_in_code_round_trip_through_json(nodes):
+    inst = Instance(nodes=nodes)
+    assert [node.id for node in inst.nodes] == list(range(len(nodes)))  # ordered by id
+    for node in inst.nodes:
+        fields = (node.id, node.lat, node.lon, node.label)
+        assert [type(v) for v in fields] == [int, float, float, str]
+    assert all(inst.nodes[node.id] == node for node in nodes)
+    assert instance_from_json(instance_to_json(inst)) == inst
+
+
+_BAD_COORDINATES = [True, "48.8", None, float("nan"), float("inf"), -float("inf")]
+_BAD_FIELDS = [
+    *[("id", v) for v in (1.0, True, "1", None, "gap", "repeat")],
+    *[("lat", v) for v in (*_BAD_COORDINATES, 90.5, -91)],
+    *[("lon", v) for v in (*_BAD_COORDINATES, 180.5, -181)],
+    ("label", 5),
+]
+
+
+def _plain(value):
+    """A numpy scalar as the Python number json writes; any other value as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+@given(_nodes(max_label=5), st.data(), st.sampled_from(_BAD_FIELDS))
+def test_a_bad_node_field_is_refused_alike_in_code_and_in_a_file(nodes, data, bad):
+    field, value = bad
+    pos = data.draw(st.integers(0, len(nodes) - 1))
+    if value == "gap":  # no node keeps the id this one had
+        value = len(nodes)
+    elif value == "repeat":  # the error names the later of the two positions
+        value = nodes[pos - 1].id
+    nodes[pos] = Node(**{**vars(nodes[pos]), field: value})
+    with pytest.raises(InputError) as in_code:
+        Instance(nodes=nodes)
+    message = str(in_code.value)
+    if bad[1] == "repeat":
+        assert re.fullmatch(rf"nodes\[\d\]\.id = {value} repeats an earlier node's id", message)
+    else:
+        assert message.startswith(f"nodes[{pos}].{field} must be ")
+        assert message.endswith(f", got {value!r}")
+    doc = {"version": 1, "nodes": [{k: _plain(v) for k, v in vars(node).items()} for node in nodes]}
+    text = json.dumps(doc).replace("Infinity", "1e400")  # json.loads reads 1e400 as inf
+    with pytest.raises(InputError) as from_file:
+        instance_from_json(text)
+    if value != value:  # NaN has no JSON spelling: the reader refuses the text itself
+        assert str(from_file.value) == "instance is not valid JSON: NaN is not a JSON number"
+    else:
+        assert str(from_file.value) == message
 
 
 def test_matrix_json_rejects_bad_documents():
@@ -541,6 +623,24 @@ def test_matrix_json_rejects_bad_documents():
     }
     with pytest.raises(InputError):
         matrix_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"version": 1, "n_nodes": 2, "n_layers": 1, "step_seconds": 60}',
+         "malformed matrix document: 'times'"),
+        ('{"version": 1, "n_nodes": 2, "n_layers": 1, "step_seconds": 60,'
+         ' "times": [[[0, 5], [7]]]}',
+         "times must have shape (layers, n, n), got (1, 2)"),
+        ("[[[0, 5], [7, 0]]]", "matrix document must be a JSON object"),
+    ],
+    ids=["no-times", "ragged-times", "array"],
+)
+def test_matrix_json_names_what_is_wrong_with_a_document(text, message):
+    with pytest.raises(InputError) as info:
+        matrix_from_json(text)
+    assert str(info.value) == message
 
 
 def _matrix_document(times, **header):
@@ -623,3 +723,26 @@ def test_solver_params_store_numpy_integers_as_python_ints():
     params = SolverParams(n_improve=np.int64(4), seed=np.uint64(2**63))
     assert type(params.n_improve) is int and params.n_improve == 4
     assert type(params.seed) is int and params.seed == 2**63
+
+
+# --- the node-count rule ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda inst, m: solve(inst, m, SolverParams(n_grasp=1, n_improve=0)), "matrix"),
+        (lambda inst, m: brute_force_optimum(inst, m), "matrix"),
+        (lambda inst, m: check_milp_feasibility(route_to_arcs((1, 2, 3)), inst.n_nodes),
+         "solution"),
+        (lambda inst, m: RecordedBackend.from_matrix(inst, m, 0), "matrix"),
+        (lambda inst, m: execute_fetch(plan_fetch(4, 1, start_epoch=0), None, inst), "plan"),
+    ],
+    ids=["solve", "brute_force_optimum", "check_milp_feasibility", "from_matrix",
+         "execute_fetch"],
+)
+def test_every_node_count_meets_the_one_rule(call, what):
+    # each call is given 4 nodes for a 3-node instance
+    with pytest.raises(InputError) as info:
+        call(grid_instance(3), constant_matrix(4, 60))
+    assert str(info.value) == f"{what} covers 4 nodes but the instance has 3"

@@ -154,6 +154,43 @@ def test_self_loops_are_rejected_by_construction():
         ArcSolution(x=x, u=np.zeros(3, dtype=int))
 
 
+def test_column_sum_violation_is_reported_before_the_ordering():
+    # 0 -> 1 -> 0 and 2 -> 1: node 1 is entered twice and node 2 never
+    x = np.zeros((3, 3), dtype=int)
+    x[0, 1] = x[1, 0] = x[2, 1] = 1
+    violations = check_milp_feasibility(ArcSolution(x=x, u=np.array([0, 1, 2])), 3)
+    assert [(v.constraint, v.nodes, v.detail) for v in violations] == [
+        ("in-degree", (1,), "column 1 sums to 2, expected 1"),
+        ("in-degree", (2,), "column 2 sums to 0, expected 1"),
+        ("subtour-order", (2, 1), "u[2]-u[1]+3*x[2,1] = 4 > 2"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "x, u, message",
+    [
+        (np.zeros((2, 3), dtype=int), np.zeros(2, dtype=int), "x must be square, got shape (2, 3)"),
+        (np.zeros((3, 3), dtype=int), np.zeros(2, dtype=int),
+         "u must have one entry per node, got shape (2,)"),
+        (np.array([[0, 2], [1, 0]]), np.zeros(2, dtype=int), "x entries must be 0 or 1"),
+        (np.eye(2, dtype=int), np.zeros(2, dtype=int),
+         "x must have a zero diagonal (no self-arcs)"),
+        # each was once cast to int64: 0.9 was read as 0, True as 1 and "1" as 1
+        ([[0, 0.9], [1, 0]], [0, 1], "x[0][1] must be an integer in [-2**63, 2**63), got 0.9"),
+        ([[0, 1], [True, 0]], [0, 1], "x[1][0] must be an integer in [-2**63, 2**63), got True"),
+        ([[0, 1], [1, 0]], [0, "1"], "u[1] must be an integer in [-2**63, 2**63), got '1'"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), [0, 1],
+         f"x[0][0] must be an integer in [-2**63, 2**63), got {np.float64(0)!r}"),
+    ],
+    ids=["not-square", "u-shape", "not-0-or-1", "diagonal", "float", "bool", "string",
+         "float-array"],
+)
+def test_arc_solutions_refuse_what_is_not_a_0_1_integer_matrix(x, u, message):
+    with pytest.raises(InputError) as info:
+        ArcSolution(x=x, u=u)
+    assert str(info.value) == message
+
+
 # --- completeness of the ordering condition on tiny instances ---------------------
 
 
