@@ -227,7 +227,12 @@ class RecordedBackend:
         return backend
 
     def _hold(self, rows):
-        rows = _integers(rows, "rows").reshape(-1, 4)
+        rows = _integers(rows, "rows")
+        if rows.size == 0:
+            rows = rows.reshape(0, 4)
+        elif rows.ndim != 2 or rows.shape[1] != 4:
+            raise InputError(f"rows must be (origin, destination, epoch, seconds) rows, "
+                             f"an (m, 4) array, got shape {rows.shape}")
         epochs = np.unique(rows[:, 2])
         self._layer_of = {t: k for k, t in enumerate(epochs.tolist())}
         self._values, self._known = _dense_layers(rows, self._n_nodes, epochs)

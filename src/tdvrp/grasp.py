@@ -9,10 +9,12 @@ first-deleted-first-reinserted at one of their k_ins cheapest slots, and keep
 the round's result only if it beats the best tour so far.
 
 Both phases keep a tour as one state: the closed path [0, *order, 0] and its
-clock, a list in which clock[j] is the time at path[j] and clock[-1] the
-tour's cost. Two edits change it, `_insert` and `_delete`; a move at slot p
-leaves the clock up to p unchanged, so each edit re-times the tour only from
-the edited slot on, with the scalar walk `model._arrivals`.
+clock, in which clock[j] is the time at path[j] and clock[-1] the tour's
+cost. A move at slot p leaves the clock up to p unchanged, so each edit
+re-times the tour only from the edited slot on, with the scalar walk
+`model._arrivals`. Construction keeps each trial's state as two lists and
+edits them with `_insert`; improvement keeps a batch of rounds as two
+(rounds x size) arrays and edits each round's row in place.
 
 Every candidate is priced on the whole tour it would make: in a
 time-dependent matrix an insertion or deletion shifts all downstream
@@ -36,15 +38,23 @@ monotone: MultiLayerMatrix refuses negative times.
 
 The n_grasp construction trials grow in lockstep: after m insertions every
 trial has m clients placed and the same number left, so one walk prices the
-insertion grids of all trials at once; one stable argsort per trial
-(`enumerate_insertions`) ranks its grid, and the drawn rank names the
-column of the client and the slot. Step m always offers
-(m + 1) * (clients - m) candidates, whatever was picked before, so every
-pick is drawn up front in one `rng.integers` call, its bounds laid out in
-the order the trials would draw them one after another. An array of bounds
-draws the values, and leaves the generator state, of one scalar call per
-bound, so the stream, and the state improvement continues from, match a
-trial-by-trial build.
+insertion grids of all trials at once, and `enumerate_insertions` ranks
+each trial's grid; the drawn rank names the column of the client and the
+slot. Step m always offers (m + 1) * (clients - m) candidates, whatever was
+picked before, so every pick is drawn up front in one `rng.integers` call,
+its bounds laid out in the order the trials would draw them one after
+another. An array of bounds draws the values, and leaves the generator
+state, of one scalar call per bound, so the stream, and the state
+improvement continues from, match a trial-by-trial build.
+
+The picks are known before the walk, so a construction step that goes by
+layer runs bounds, then prices (`_bounded_runs`): a candidate that cannot
+be among its trial's first pick + 1 ranks keeps a lower bound of its cost
+in place of its price. Walked moves and improvement moves are priced in
+full: on long tours most of their lanes would survive the bounds. An
+integer grid of more than KEYED_RANKING candidates is ranked by one unstable
+argsort of unique keys (delta, then flat index), which orders it as the
+stable sort would, and faster on grids that large.
 
 Improvement rounds run in speculative batches. Most rounds do not beat the
 incumbent, and a round's draws do not depend on its tour: deletion d offers
@@ -53,9 +63,11 @@ was deleted. So every draw is made up front in one call, laid out round by
 round (deletions, then reinsertions), and a batch of up to MAX_BATCH
 rounds then runs from the same incumbent in lockstep, one walk per move for
 all of them (the first deletion, on the shared incumbent, is priced once).
-The first round of the batch that beats the incumbent is kept and the
-rounds after it are dropped; the next batch starts at the round after the
-kept one, with its draws unchanged. The first batch is one round; a batch
+The batch's tours stay arrays from one move to the next: each move's walk
+reads them as they are, and each round's edit shifts its own row. The
+first round of the batch that beats the incumbent is kept and the rounds
+after it are dropped; the next batch starts at the round after the kept
+one, with its draws unchanged. The first batch is one round; a batch
 keeps its size after an acceptance and doubles after a batch that keeps
 none. The batch size sets only how many rounds share a walk: tours, traces
 and the generator state match a round-by-round search.
@@ -94,6 +106,10 @@ from .model import (
 RNG_ALGORITHM = "numpy-pcg64"
 # at most this many improvement rounds run from one incumbent in one batch
 MAX_BATCH = 8
+# an integer grid of more candidates than this is ranked by keys (2 vCPUs: at
+# 1,024 int64 both sorts take about 19 us; at 240 the stable one takes 9 us and
+# the keyed 17 us, at 2,550 the stable one 129 us and the keyed 41 us)
+KEYED_RANKING = 1024
 
 
 @dataclass(frozen=True)
@@ -120,21 +136,15 @@ def _insert(path, clock, p, node, matrix: MultiLayerMatrix) -> None:
     clock[p + 1 :] = _arrivals(clock[p], path[p], path[p + 1 :], matrix)
 
 
-def _delete(path, clock, i, matrix: MultiLayerMatrix) -> None:
-    """Take the client path[i] out of the tour and re-time the tour from the
-    slot it leaves."""
-    del path[i]
-    # the empty tour [0, 0] has no arc to walk and costs 0
-    clock[i:] = _arrivals(clock[i - 1], path[i - 1], path[i:], matrix) if len(path) > 2 else [0]
-
-
-def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix) -> np.ndarray:
+def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix, bound=None) -> np.ndarray:
     """Cost change of inserting each trial's `nodes` at each slot of its
     tour, as a (slots x trials x nodes) grid.
 
     Row t of `paths` and `clock` is the tour state of trial t, and row t of
     `nodes` the clients it may take. Every tour has the same length. Lane
     (p, t, j) leaves paths[t][p], visits nodes[t][j] and rejoins at paths[t][p + 1].
+    With a `bound` (low, high, picks), only trial t's first picks[t] + 1
+    ranks need be exact (see `_bounded_runs`).
     """
     paths = np.asarray(paths, dtype=np.intp)
     clock = np.asarray(clock, dtype=matrix.times.dtype)
@@ -142,7 +152,7 @@ def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix) -> np.ndarr
     # the arcs into and out of each new node, as flat indices
     into = paths[:, :-1].T[:, :, None] * matrix.n_nodes + nodes
     out = nodes * matrix.n_nodes + paths[:, 1:].T[:, :, None]
-    return _rejoin(paths, clock, [into, out], 1, matrix) - clock[:, -1, None]
+    return _rejoin(paths, clock, [into, out], 1, matrix, bound) - clock[:, -1, None]
 
 
 def _deletion_savings(paths, clock, matrix: MultiLayerMatrix) -> np.ndarray:
@@ -161,25 +171,59 @@ def _deletion_savings(paths, clock, matrix: MultiLayerMatrix) -> np.ndarray:
     return clock[:, -1] - _rejoin(paths, clock, [skip], 2, matrix)[:, :, 0]
 
 
-def _rejoin(paths, clock, detour, first, matrix: MultiLayerMatrix) -> np.ndarray:
+def _rejoin(paths, clock, detour, first, matrix: MultiLayerMatrix, bound=None) -> np.ndarray:
     """Depot arrival times of lanes that leave their tour, take a detour and rejoin it.
 
     Lane (i, t, j) leaves paths[t][i] at clock[t][i], drives one arc from each
     (size - first, trials, j) array of flat indices in `detour`, then drives
     tour t from position i + first back to the depot, by layer runs or by the
-    arc walk, whichever `_by_layer_runs` picks.
+    arc walk, whichever `_by_layer_runs` picks. A move that goes by layer
+    runs with a `bound` prices only the lanes that `_bounded_runs` keeps; the
+    walk prices every lane.
     """
     trials, size = paths.shape
     k = np.repeat(clock.T[: size - first, :, None], detour[0].shape[2], axis=2)
     # lane 0 drives the most arcs: the detour, then the tour from position first
     if _by_layer_runs(len(detour) + size - 1 - first, k.size, clock, matrix):
         _advance(k, detour, matrix)
+        if bound is not None:
+            return _bounded_runs(paths, k, first, matrix, *bound)
         pos = np.arange(first, size)[:, None, None]
         return _layer_runs(paths, k, np.arange(trials)[:, None], pos, matrix)
     # the tour's own arcs, position-major: lane i takes own[i + first + j] at walk step j
     own = (paths[:, :-1] * matrix.n_nodes + paths[:, 1:]).T.copy()[:, :, None]
     walk = (own[first + j :] for j in range(size - 1 - first))
     return _advance(k, chain(detour, walk), matrix)
+
+
+def _bounded_runs(paths, k, first, matrix: MultiLayerMatrix, low, high, picks) -> np.ndarray:
+    """`_layer_runs` for the lanes of `_rejoin` (lane (i, t, j) back on tour t
+    at position i + first at time k[i, t, j]) that can rank among the first
+    keep = picks[t] + 1 of trial t; every other lane gets a lower bound of
+    its arrival.
+
+    `low` and `high` hold each arc's least and greatest time over the layers,
+    by flat index, so a lane arrives in [k + the sum of `low`, k + the sum of
+    `high`] over the tour's arcs after it rejoins. A lane whose lower bound
+    exceeds its trial's keep-th smallest upper bound has keep lanes strictly
+    cheaper than it, so it is not among the first keep, not even on a tie.
+    It keeps its lower bound, which ranks it after all of them, and only the
+    other lanes are priced, as 1-D lanes. A bound adds at most n arc times,
+    and MultiLayerMatrix keeps n times its largest below 2**63: none wraps.
+    """
+    trials, size = paths.shape
+    own = paths[:, :-1] * matrix.n_nodes + paths[:, 1:]
+    sums = np.zeros((2, trials, size), dtype=np.int64)
+    np.cumsum(low[own], axis=1, out=sums[0, :, 1:])
+    np.cumsum(high[own], axis=1, out=sums[1, :, 1:])
+    # rest[b, x, t]: bound b of tour t's arcs from position x to the depot
+    rest = (sums[:, :, -1:] - sums).transpose(0, 2, 1)[:, first:, :, None]
+    least = k + rest[0]
+    most = (k + rest[1]).transpose(1, 0, 2).reshape(trials, -1)
+    cut = np.partition(most, picks, axis=1)[np.arange(trials), picks]
+    lane = np.nonzero(least <= cut[:, None])
+    least[lane] = _layer_runs(paths, k[lane], lane[1], lane[0] + first, matrix)
+    return least
 
 
 def _by_layer_runs(arcs, lanes, clock, matrix: MultiLayerMatrix) -> bool:
@@ -278,9 +322,22 @@ def enumerate_insertions(deltas) -> np.ndarray:
     """The (slots x columns) grid `deltas` of insertion cost deltas, ranked:
     its node-major flat indices column * slots + slot, cheapest first, ties
     broken by column, then slot.
+
+    An integer grid of more than KEYED_RANKING candidates is ranked by one
+    unstable argsort of the keys (delta - least delta) * size + flat index:
+    they are unique and sort in the stable order. A float grid, a smaller
+    one, or one whose keys would pass 2**63 - 1, takes the stable argsort.
     """
     # node-major, so a stable sort breaks delta ties by (column, slot)
-    return np.argsort(deltas.T.ravel(), kind="stable")
+    flat = deltas.T.ravel()
+    if flat.size > KEYED_RANKING and flat.dtype == np.int64:
+        least, size = int(flat.min()), flat.size
+        if (int(flat.max()) - least + 1) * size <= 2**63:
+            key = flat - least
+            key *= size
+            key += np.arange(size)
+            return np.argsort(key)
+    return np.argsort(flat, kind="stable")
 
 
 def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int):
@@ -292,18 +349,20 @@ def construct_route(matrix: MultiLayerMatrix, k_grasp: int, rng, trials: int):
     clients = matrix.n_nodes - 1
     # see the module docstring: one draw call, laid out trial by trial
     bounds = [min(k_grasp, (m + 1) * (clients - m)) for m in range(clients)]
-    picks = rng.integers(0, bounds * trials).tolist()
+    # picks[m][t]: trial t's drawn rank at step m
+    picks = rng.integers(0, bounds * trials).reshape(trials, clients).T
+    layers = matrix.times.reshape(matrix.n_layers, -1)
+    low, high = layers.min(axis=0), layers.max(axis=0)
     paths = [[0, 0] for _ in range(trials)]
     clocks = [[0, 0] for _ in range(trials)]
     remaining = [list(range(1, clients + 1)) for _ in range(trials)]
-    for m in range(clients):
-        deltas = _insertion_deltas(paths, clocks, remaining, matrix)
-        for t, (path, clock, free) in enumerate(zip(paths, clocks, remaining)):
-            # the candidate at the trial's drawn rank; `free` is ascending, so
-            # ties break by (node, slot)
-            pick = picks[t * clients + m]
+    for m, drawn in enumerate(picks):
+        deltas = _insertion_deltas(paths, clocks, remaining, matrix, (low, high, drawn))
+        for t, pick in enumerate(drawn.tolist()):
+            # the candidate at the trial's drawn rank; `remaining[t]` is
+            # ascending, so ties break by (node, slot)
             column, pos = divmod(int(enumerate_insertions(deltas[:, t])[pick]), m + 1)
-            _insert(path, clock, pos, free.pop(column), matrix)
+            _insert(paths[t], clocks[t], pos, remaining[t].pop(column), matrix)
     return paths, clocks
 
 
@@ -322,33 +381,48 @@ def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResul
 
 def _speculate(path, clock, draws, params: SolverParams, matrix: MultiLayerMatrix):
     """Run one improvement round per entry of `draws`, all from the tour
-    state (path, clock), in lockstep; return their (paths, clocks) in round
-    order.
+    state (path, clock), in lockstep; return their (paths, clocks) as
+    (rounds x size) arrays, in round order.
 
     A round's draws are its (deletion picks, reinsertion picks): ranks into
     the savings of each deletion and the slot deltas of each reinsertion.
+    Every round edits its own row in place: the tours after d deletions are
+    the first size - d columns.
     """
-    paths = [list(path) for _ in draws]
-    clocks = [list(clock) for _ in draws]
-    deleted = [[] for _ in draws]
+    rounds, size = len(draws), len(path)
+    paths = np.tile(np.asarray(path, dtype=np.intp), (rounds, 1))
+    clocks = np.tile(np.asarray(clock, dtype=matrix.times.dtype), (rounds, 1))
+    deleted = np.empty((rounds, params.l_delete), dtype=np.intp)
     # every round deletes first from the same tour: price that move once
-    tours, times = [path], [clock]
+    tours = 1
     for d in range(params.l_delete):
-        savings = _deletion_savings(tours, times, matrix)
+        end = size - d
+        savings = _deletion_savings(paths[:tours, :end], clocks[:tours, :end], matrix)
         # per tour, clients by savings descending, ties by node id
-        ranked = np.lexsort(([tour[1:-1] for tour in tours], -savings.T))
-        ranked = np.broadcast_to(ranked, (len(draws), ranked.shape[1]))
-        for r, (p, c, gone, (picks, _)) in enumerate(zip(paths, clocks, deleted, draws)):
-            i = 1 + int(ranked[r, picks[d]])
-            gone.append(p[i])
-            _delete(p, c, i, matrix)
-        tours, times = paths, clocks
+        ranked = np.lexsort((paths[:tours, 1 : end - 1], -savings.T))
+        ranked = np.broadcast_to(ranked, (rounds, end - 2))
+        for r, (picks, _) in enumerate(draws):
+            row, times, i = paths[r], clocks[r], 1 + int(ranked[r, picks[d]])
+            deleted[r, d] = row[i]
+            row[i : end - 1] = row[i + 1 : end]
+            # the empty tour [0, 0] has no arc to walk and costs 0
+            times[i : end - 1] = (
+                _arrivals(times.item(i - 1), row.item(i - 1), row[i : end - 1].tolist(), matrix)
+                if end > 3 else 0
+            )
+        tours = rounds
     for e in range(params.l_delete):
-        deltas = _insertion_deltas(paths, clocks, [[gone[e]] for gone in deleted], matrix)
+        end = size - params.l_delete + e
+        deltas = _insertion_deltas(paths[:, :end], clocks[:, :end], deleted[:, e, None], matrix)
         # per round, slots by delta, ties by slot
         ranked = np.argsort(deltas[:, :, 0], axis=0, kind="stable")
-        for r, (p, c, gone, (_, picks)) in enumerate(zip(paths, clocks, deleted, draws)):
-            _insert(p, c, int(ranked[picks[e], r]), gone[e], matrix)
+        for r, (_, picks) in enumerate(draws):
+            row, times, p = paths[r], clocks[r], int(ranked[picks[e], r])
+            row[p + 2 : end + 1] = row[p + 1 : end]
+            row[p + 1] = deleted[r, e]
+            times[p + 1 : end + 1] = _arrivals(
+                times.item(p), row.item(p), row[p + 1 : end + 1].tolist(), matrix
+            )
     return paths, clocks
 
 
@@ -380,13 +454,15 @@ def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> Solve
         rounds = draws[len(trace) : len(trace) + batch]
         paths, clocks = _speculate(best_path, best_clock, rounds, params, matrix)
         # the first round that beats the incumbent; the rounds after it are rerun
-        won = next((r for r, clock in enumerate(clocks) if clock[-1] < best_clock[-1]), None)
+        costs = clocks[:, -1].tolist()
+        won = next((r for r, cost in enumerate(costs) if cost < best_clock[-1]), None)
         if won is None:
             trace += [best_clock[-1]] * len(rounds)
             batch = min(2 * batch, MAX_BATCH)
         else:
             trace += [best_clock[-1]] * won
-            best_path, best_clock = paths[won], clocks[won]
+            # the depot departure stays the int 0 that `_order_schedule` gave
+            best_path, best_clock = paths[won].tolist(), [0, *clocks[won, 1:].tolist()]
             trace.append(best_clock[-1])
     schedule = Schedule(tuple(best_clock[:-1]), best_clock[-1])
     return _result(best_path[1:-1], schedule, trace, params)

@@ -27,6 +27,7 @@ from tdvrp.fetch import (
     read_cache_file,
 )
 from tdvrp.cli import main
+from tdvrp.instances import random_instance
 from tdvrp.model import average_matrix, matrix_to_json, save_instance
 from tdvrp.synth import TrafficProfile, generate_synthetic
 
@@ -260,6 +261,27 @@ def test_recorded_rows_that_are_not_integers_are_refused(row, entry):
     with pytest.raises(InputError) as info:
         RecordedBackend(grid_instance(2), row if isinstance(row, np.ndarray) else [row])
     assert str(info.value) == entry
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # 12 values were once read as three (o, d, t, s) rows: 0->1 = 5, 1->0 = 7, 2->0 = 9
+        np.array([[0, 1, 100, 5, 1, 0], [100, 7, 2, 0, 100, 9]]),
+        np.array([0, 1, START, 60]),
+        np.array([[[0, 1, START, 60]]]),
+        [(0, 1, START)],
+    ],
+    ids=["six-columns", "one-dimension", "three-dimensions", "three-columns"],
+)
+def test_recorded_rows_of_another_shape_are_refused(rows):
+    with pytest.raises(InputError) as info:
+        RecordedBackend(random_instance(2, seed=1), rows)
+    shape = np.shape(rows)
+    assert str(info.value) == (
+        "rows must be (origin, destination, epoch, seconds) rows, "
+        f"an (m, 4) array, got shape {shape}"
+    )
 
 
 def test_recorded_rows_build_an_empty_store_and_integer_arrays_need_no_scan(

@@ -3,9 +3,11 @@
 `model._advance` prices many tours at once, each lane starting from a cached
 departure part-way along a tour, and `grasp._layer_runs` finishes lanes on
 their own tour one layer run at a time. These properties check both, that
-they price every move alike whichever one the cost model would pick, the
-tour edits that keep a clock, and the move pricing, lockstep construction,
-speculative improvement rounds and exhaustive search built on them, against
+they price every move alike whichever one the cost model would pick, that
+bounded construction steps keep the ranks a trial can draw, that keyed
+ranking sorts as the stable sort does, the tour edits that keep a clock, and
+the move pricing, lockstep construction, speculative improvement rounds and
+exhaustive search built on them, against
 `naive_departures` and plain one-at-a-time loops on random tours, start
 slots and matrices: integer and fractional layers, departures far past the
 horizon, empty and one-client tours, values drawn from a narrow range so that
@@ -24,11 +26,12 @@ from tdvrp import grasp
 from tdvrp.errors import InputError
 from tdvrp.grasp import (
     MAX_BATCH,
-    _delete,
     _deletion_savings,
     _insert,
     _insertion_deltas,
     _layer_runs,
+    construct_route,
+    enumerate_insertions,
     improve,
     run_grasp,
     solve,
@@ -281,15 +284,13 @@ def _state(order, matrix):
 @SETTINGS
 @given(data=st.data())
 def test_edits_keep_the_clock_of_the_path(data):
+    # construction's edit; improvement edits its array rows in place, and
+    # the round-by-round property below checks the clocks those rows keep
     matrix = data.draw(matrices())
     path, clock = _state(data.draw(tours(matrix)), matrix)
-    for _ in range(data.draw(st.integers(1, 12))):
-        free = sorted(set(range(1, matrix.n_nodes)) - set(path))
-        if len(path) > 2 and (not free or data.draw(st.booleans())):
-            _delete(path, clock, data.draw(st.integers(1, len(path) - 2)), matrix)
-        else:
-            node = data.draw(st.sampled_from(free))
-            _insert(path, clock, data.draw(st.integers(0, len(path) - 2)), node, matrix)
+    free = sorted(set(range(1, matrix.n_nodes)) - set(path))
+    for node in data.draw(st.permutations(free)):
+        _insert(path, clock, data.draw(st.integers(0, len(path) - 2)), node, matrix)
         assert _exact(clock) == _exact(_state(path[1:-1], matrix)[1])
 
 
@@ -411,6 +412,104 @@ def test_lockstep_construction_matches_trial_by_trial(matrix, k_grasp, n_grasp, 
     assert result.best_route.order == order
     assert _exact(result.cost_trace) == _exact(trace)
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# --- bounded construction pricing and keyed ranking -------------------------
+
+
+@st.composite
+def bounded_matrices(draw):
+    """An integer matrix for the bounds: 1-8 layers, some of them copies of
+    another (ties between layers), some arcs of 0 s, and steps short enough
+    that many departures fall past the horizon."""
+    n = draw(st.integers(2, 9))
+    n_layers = draw(st.integers(1, 8))
+    step = draw(st.sampled_from([1, 7, 150, 900, 3600]))
+    high = draw(st.sampled_from([1, 3, 40, 2000]))  # 1: every arc takes 0 s
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = rng.integers(0, high, size=(n_layers, n, n))
+    times[rng.random(times.shape) < draw(st.sampled_from([0, 0.3]))] = 0
+    for s in range(1, n_layers):
+        if rng.random() < 0.3:
+            times[s] = times[rng.integers(0, s)]
+    return MultiLayerMatrix(times=times, step_seconds=step)
+
+
+def _arc_range(matrix):
+    layers = matrix.times.reshape(matrix.n_layers, -1)
+    return layers.min(axis=0), layers.max(axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bounded_pricing_keeps_the_first_ranks_of_full_pricing(data):
+    # a construction step by layer runs, priced in full and priced only
+    # where a candidate can be among trial t's first keep[t] ranks
+    matrix = data.draw(bounded_matrices())
+    clients = list(range(1, matrix.n_nodes))
+    size = data.draw(st.integers(0, len(clients) - 1))
+    orders = [
+        tuple(data.draw(st.permutations(clients))[:size])
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    states = [_state(order, matrix) for order in orders]
+    paths, clocks = [p for p, _ in states], [c for _, c in states]
+    free = [sorted(set(clients) - set(order)) for order in orders]
+    candidates = (size + 1) * len(free[0])
+    keep = [data.draw(st.integers(1, min(5, candidates))) for _ in orders]
+    picks = np.array(keep) - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grasp, "_by_layer_runs", lambda *_: True)
+        full = _insertion_deltas(paths, clocks, free, matrix)
+        bounded = _insertion_deltas(paths, clocks, free, matrix, (*_arc_range(matrix), picks))
+    assert (bounded <= full).all()  # a pruned candidate holds a lower bound
+    for t, first in enumerate(keep):
+        ranks = enumerate_insertions(full[:, t])[:first]
+        assert enumerate_insertions(bounded[:, t])[:first].tolist() == ranks.tolist()
+        assert bounded[:, t].T.ravel()[ranks].tolist() == full[:, t].T.ravel()[ranks].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    matrix=bounded_matrices(),
+    k_grasp=st.integers(1, 5),
+    trials=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_bounded_construction_matches_full_pricing(matrix, k_grasp, trials, seed):
+    # every step by layer runs, so bounded, against every step walked in full
+    built = []
+    for runs in (True, False):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grasp, "_by_layer_runs", lambda *_: runs)
+            paths, clocks = construct_route(matrix, k_grasp, rng, trials)
+        built.append((paths, _exact(np.concatenate(clocks)), rng.bit_generator.state))
+    assert built[0] == built[1]
+
+
+@st.composite
+def integer_grids(draw):
+    """An (slots x columns) int64 grid: ties, negative deltas, and values
+    whose keys would pass 2**63 - 1."""
+    slots, columns = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    reach = draw(st.sampled_from([2, 2**40, 2**62, 2**63 - 1]))
+    values = st.integers(-reach, reach)
+    row = st.lists(values, min_size=columns, max_size=columns)
+    return np.array(draw(st.lists(row, min_size=slots, max_size=slots)), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=integer_grids())
+@example(grid=np.array([[0, 2**62 - 1]]))  # the largest key is 2**63 - 1: still keyed
+@example(grid=np.array([[0, 2**62]]))  # a key would be 2**63: the stable sort
+@example(grid=np.array([[-(2**63), 2**63 - 1], [2**63 - 1, -(2**63)]]))
+@example(grid=np.array([[5, -3, 5], [-3, 5, -3]]))
+def test_keyed_ranking_matches_the_stable_sort(grid):
+    stable = np.argsort(grid.T.ravel(), kind="stable")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grasp, "KEYED_RANKING", 0)  # keys even for the smallest grid
+        assert enumerate_insertions(grid).tolist() == stable.tolist()
 
 
 # --- speculative improvement rounds ------------------------------------------
