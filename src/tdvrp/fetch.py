@@ -36,6 +36,7 @@ on the plan.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 import time
@@ -322,7 +323,7 @@ class LiveBackend:
 def _provider_grid(rows, n_rows: int, n_cols: int):
     """A provider's rows as (values, answered) arrays; an element whose
     status is not OK, or that carries no duration, is a hole. A duration
-    that is negative or not a 64-bit integer is malformed, never cached."""
+    that is not an integer in [0, 2**63) by `_integer` is malformed, never cached."""
     if type(rows) is not list or len(rows) != n_rows:
         raise PermanentBackendError(f"response does not hold {n_rows} rows")
     values = np.zeros((n_rows, n_cols), dtype=np.int64)
@@ -340,12 +341,11 @@ def _provider_grid(rows, n_rows: int, n_cols: int):
             if not duration:
                 continue
             seconds = duration.get("value") if isinstance(duration, dict) else None
-            if type(seconds) is not int or not 0 <= seconds < 2**63:
-                raise PermanentBackendError(
-                    f"response element ({i}, {j}) has duration {json.dumps(duration)}, "
-                    "whose value is not a 64-bit JSON integer >= 0"
-                )
-            values[i, j] = seconds
+            try:
+                values[i, j] = _integer(seconds, f"response element ({i}, {j}) has duration "
+                                                 f"{json.dumps(duration)}, whose value", 0)
+            except InputError as exc:
+                raise PermanentBackendError(str(exc)) from None
             answered[i, j] = True
     return values, answered
 
@@ -373,6 +373,7 @@ _BLANK_SKELETON = bytes.maketrans(bytes(set(_SKELETON)), b" " * len(set(_SKELETO
 _MINUS_NOT_BEFORE_DIGIT = re.compile(rb"-(?![0-9])")
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
 _INT64 = np.iinfo(np.int64)
+_ODTS = operator.itemgetter("o", "d", "t", "s")
 
 
 def read_cache_file(path) -> np.ndarray:
@@ -442,15 +443,19 @@ def _parse_lines(lines, path) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            for key in "odts":
-                # true, "1", 1.5 and NaN are not ints
-                if type(record[key]) is not int:
-                    raise ValueError(f'"{key}" is not a JSON integer')
-            rows[m] = [record[key] for key in "odts"]  # past int64 is an OverflowError
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            o, d, t, s = values = _ODTS(json.loads(line))
+            try:  # four plain ints go straight in, and numpy refuses one past int64
+                if type(o) is type(d) is type(t) is type(s) is int:
+                    rows[m] = values
+                    m += 1
+                    continue
+            except OverflowError:
+                pass
+            # the one rule refuses any other value: true, "1", 1.5, NaN or 2**63
+            for key, value in zip("odts", values):
+                _integer(value, f'"{key}"', -(2**63))
+        except (KeyError, TypeError, ValueError, InputError) as exc:
             raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
-        m += 1
     return rows[:m]
 
 

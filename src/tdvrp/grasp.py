@@ -95,7 +95,6 @@ from .model import (
     SolverParams,
     _advance,
     _arrivals,
-    _expect,
     _integer,
     _order,
     _order_schedule,
@@ -521,5 +520,6 @@ def result_from_json(text: str) -> dict:
             "result document must be a JSON object with 'route' and 'departures_s' fields"
         )
     for name in ("route", "departures_s"):
-        _expect(doc[name], "list", f"result field '{name}'")
+        if type(doc[name]) is not list:
+            raise InputError(f"result field '{name}' = {json.dumps(doc[name])} is not a JSON list")
     return doc

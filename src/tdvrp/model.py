@@ -82,8 +82,16 @@ def _shown(bound: int):
 def _integers(values, name: str) -> np.ndarray:
     """The one rule for integer arrays: `values` as an int64 array, each entry
     checked by `_integer` (named name[i][j]...) unless it is a signed numpy
-    integer array; numpy would read True as 1 and "5" as 5, and cast 1.7 to 1."""
+    integer array, or an object array of Python ints in int64 as a JSON
+    document gives; numpy would read True as 1 and "5" as 5, and cast 1.7 to 1."""
     arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.dtype == object:
+        flat = arr.ravel().tolist()
+        if set(map(type, flat)) <= {int}:
+            try:
+                return np.array(flat, dtype=np.int64).reshape(arr.shape)
+            except OverflowError:  # past int64: the loop below names the entry
+                pass
     if arr.dtype.kind != "i":
         for at, value in enumerate(arr.flat):
             index = "".join(f"[{i}]" for i in np.unravel_index(at, arr.shape))
@@ -112,6 +120,13 @@ def _real(value, name: str, low, strict: bool = False, high=math.inf):
 
 def _as_times_array(times) -> np.ndarray:
     arr = np.asarray(times)
+    if not isinstance(times, np.ndarray) and arr.dtype.kind in "iuf":
+        # numpy casts a bool that sits among numbers; a bool array is refused below
+        cells = np.array(times, dtype=object)
+        for at, value in enumerate(cells.flat):
+            if isinstance(value, (bool, np.bool_)):
+                index = "".join(f"[{i}]" for i in np.unravel_index(at, cells.shape))
+                raise InputError(f"times{index} must be integer or float seconds, got {value!r}")
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise InputError(f"times must have shape (layers, n, n), got {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 2:
@@ -460,44 +475,20 @@ def matrix_from_json(text: str) -> MultiLayerMatrix:
     doc = _parse_json(text, "matrix")
     _require_version(doc, "matrix")
     try:
-        times = _times_from_json(doc["times"])
-        step, n_nodes, n_layers = (
-            _expect(doc[name], "integer", f"matrix field {name!r}")
-            for name in ("step_seconds", "n_nodes", "n_layers")
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        cells = np.array(doc["times"], dtype=object)
+        step, n_nodes, n_layers = doc["step_seconds"], doc["n_nodes"], doc["n_layers"]
+    except KeyError as exc:
         raise InputError(f"malformed matrix document: {exc}") from exc
-    matrix = MultiLayerMatrix(times=times, step_seconds=step)
+    if cells.ndim != 3:  # ragged rows leave lists as entries
+        raise InputError(f"times must have shape (layers, n, n), got {cells.shape}")
+    n_nodes, n_layers = _integer(n_nodes, "n_nodes", 2), _integer(n_layers, "n_layers", 1)
+    matrix = MultiLayerMatrix(times=_integers(cells, "times"), step_seconds=step)
     if matrix.n_nodes != n_nodes or matrix.n_layers != n_layers:
         raise InputError(
             f"matrix header says {n_layers} layers of {n_nodes} nodes but times "
             f"array is {matrix.n_layers}x{matrix.n_nodes}x{matrix.n_nodes}"
         )
     return matrix
-
-
-def _times_from_json(raw) -> np.ndarray:
-    """The `times` of a matrix document as int64; every entry must be a JSON
-    integer (not a float, a bool or a string, which numpy would coerce).
-    """
-    cells = np.array(raw, dtype=object)
-    if cells.ndim != 3:
-        raise InputError(f"times must have shape (layers, n, n), got {cells.shape}")
-    flat = cells.ravel().tolist()
-
-    def where(at):
-        layer, row, col = np.unravel_index(at, cells.shape)
-        return f"times[{layer}][{row}][{col}] = {json.dumps(flat[at])}"
-
-    if set(map(type, flat)) - {int}:
-        at = next(i for i, v in enumerate(flat) if type(v) is not int)
-        raise InputError(f"matrix entry {where(at)} is not a JSON integer")
-    try:
-        times = np.array(flat, dtype=np.int64)
-    except OverflowError:
-        at = next(i for i, v in enumerate(flat) if not -(2**63) <= v < 2**63)
-        raise InputError(f"matrix entry {where(at)} does not fit in 64 bits") from None
-    return times.reshape(cells.shape)
 
 
 def instance_to_json(instance: Instance) -> str:
@@ -566,17 +557,6 @@ def _read_text(path) -> str:
 def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-# the Python types of each JSON kind; a bool (an int to Python) is none of them
-_JSON_TYPES = {"integer": (int,), "list": (list,)}
-
-
-def _expect(value, kind: str, where: str):
-    """`value` if it is a JSON `kind`, else an InputError naming `where`."""
-    if type(value) not in _JSON_TYPES[kind]:
-        raise InputError(f"{where} = {json.dumps(value)} is not a JSON {kind}")
-    return value
 
 
 def _not_a_json_number(constant):

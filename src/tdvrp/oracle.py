@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import InputError
 from .model import (
-    Instance, MultiLayerMatrix, Route, Schedule, _advance, _integers, _order, _order_schedule,
-    _same_nodes,
+    Instance, MultiLayerMatrix, Route, Schedule, _advance, _integer, _integers, _order,
+    _order_schedule, _same_nodes,
 )
 
 MAX_CLIENTS = 10  # the search is factorial
@@ -171,6 +171,7 @@ def check_milp_feasibility(sol: ArcSolution, n: int) -> list[Violation]:
     Returns one entry per violated constraint, out-degree by row, in-degree
     by column, then subtour-order row-major; an empty list means feasible.
     """
+    n = _integer(n, "n", 2)
     _same_nodes("solution", sol.n_nodes, n)
     x, u = sol.x, sol.u.astype(object)  # Python ints: u_i - u_j cannot wrap
     violations = [

@@ -577,14 +577,14 @@ def _seconds(value):
         (_ok_rows([_seconds("12a")]), r'duration \{"value": "12a"\}'),
         (_ok_rows([_seconds(True)]), r'duration \{"value": true\}'),
         (_ok_rows([_seconds(1.5)]), r'duration \{"value": 1.5\}'),
-        (_ok_rows([_seconds(2**63)]), "not a 64-bit JSON integer"),
+        (_ok_rows([_seconds(2**63)]), r"whose value must be an integer in \[0, 2\*\*63\)"),
         (_ok_rows([{"status": "OK", "duration": 60}]), "duration 60"),
         (_ok_rows(), "does not hold 1 rows"),
         (_ok_rows([_seconds(1)], [_seconds(2)]), "does not hold 1 rows"),
         (_ok_rows([_seconds(1), _seconds(2)]), "row 0 does not hold 1 elements"),
         ({"status": "OK", "rows": ["elements"]}, "row 0 does not hold 1 elements"),
         (_ok_rows(["OK"]), r"element \(0, 0\) is not an object"),
-        (_ok_rows([_seconds(-40)]), r'duration \{"value": -40\}, whose value is not .* >= 0'),
+        (_ok_rows([_seconds(-40)]), r'duration \{"value": -40\}, whose value must be .*, got -40'),
     ],
 )
 def test_live_backend_rejects_malformed_responses(payload, expected):

@@ -14,11 +14,14 @@ nodes) would plan or solve for ever, so acceptance is checked by stopping
 the call with `_Accepted` just after the argument has passed the rule.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tdvrp import compare, fetch, grasp, instances, model, synth
-from tdvrp.errors import InputError
+from tdvrp import compare, fetch, grasp, instances, model, oracle, synth
+from tdvrp.errors import InputError, PermanentBackendError
 from tdvrp.model import MultiLayerMatrix, SolverParams
 
 from conftest import constant_matrix, grid_instance
@@ -26,6 +29,7 @@ from conftest import constant_matrix, grid_instance
 MATRIX = constant_matrix(3, 60, n_layers=2, step_seconds=60)
 INSTANCE = grid_instance(3)
 FAST = SolverParams(n_grasp=2, n_improve=1, l_delete=1)
+ARCS = oracle.route_to_arcs((1, 2))
 
 
 def _params(name):
@@ -78,6 +82,8 @@ ROWS = [
      lambda v: compare.run_compare(INSTANCE, MATRIX, FAST, v), 1, 2**63),
     ("construct_route-k_grasp", grasp, "k_grasp",
      lambda v: grasp.construct_route(MATRIX, v, np.random.default_rng(0), 1), 1, 2**63),
+    ("check_milp_feasibility-n", oracle, "n", lambda v: oracle.check_milp_feasibility(ARCS, v),
+     2, 2**63),
 ]
 
 
@@ -114,3 +120,99 @@ def test_integer_arguments_follow_the_one_rule(entry, module, name, call, low, h
     for value in [numpy_value, np.int64(low), low, high - 1]:
         with pytest.raises(_Accepted):
             call(value)
+
+
+# --- integers a document carries ----------------------------------------------
+#
+# Every integer read from a matrix file, a cache line or a provider reply meets
+# the same rule, whichever reader parses it. Each row names a field, the
+# error it raises, the prefix and name its message gives, its bounds and a
+# read of a document holding the value there, all else valid. The values are
+# what json.loads makes of true, 7.0, 7.5, "7", null, 2**63 and low - 1.
+
+
+def _matrix(field):
+    """Read a one-layer, two-node matrix file with `field`, or the entry
+    times[0][0][1], set to the value."""
+    def read(value, tmp_path):
+        doc = {"version": 1, "n_nodes": 2, "n_layers": 1, "step_seconds": 60,
+               "times": [[[0, 5], [5, 0]]]}
+        if field == "times":
+            doc["times"][0][0][1] = value
+        else:
+            doc[field] = value
+        model.matrix_from_json(json.dumps(doc))
+    return read
+
+
+def _cache_line(key):
+    """Read a cache file whose second line holds the value as `key`. Its
+    lines are written without spaces, which the one-pass reader does not take,
+    so the line-by-line reader parses them."""
+    def read(value, tmp_path):
+        lines = [{"o": 0, "d": 1, "t": 5, "s": 60}, {"o": 1, "d": 0, "t": 5, "s": 70, key: value}]
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in lines))
+        fetch.read_cache_file(path)
+    return read
+
+
+def _provider(value, tmp_path):
+    """Read a one-element provider reply whose duration has the value."""
+    fetch._provider_grid([{"elements": [{"status": "OK", "duration": {"value": value}}]}], 1, 1)
+
+
+# (field, error, message prefix, name as the message gives it, low, read); every
+# high is 2**63. {path} is the cache file and {value} the duration's value as JSON
+DOCUMENT_ROWS = [
+    ("matrix-n_nodes", InputError, "", "n_nodes", 2, _matrix("n_nodes")),
+    ("matrix-n_layers", InputError, "", "n_layers", 1, _matrix("n_layers")),
+    ("matrix-step_seconds", InputError, "", "step_seconds", 1, _matrix("step_seconds")),
+    ("matrix-times", InputError, "", "times[0][0][1]", -(2**63), _matrix("times")),
+    *[(f"cache-{key}", InputError, "bad cache line 2 in {path}: ", f'"{key}"', -(2**63),
+       _cache_line(key)) for key in "odts"],
+    ("provider-duration", PermanentBackendError, "",
+     'response element (0, 0) has duration {{"value": {value}}}, whose value', 0, _provider),
+]
+
+
+@pytest.mark.parametrize("error, prefix, name, low, read",
+                         [pytest.param(*row[1:], id=row[0]) for row in DOCUMENT_ROWS])
+def test_document_integers_follow_the_one_rule(error, prefix, name, low, read, tmp_path):
+    shown = "-2**63" if low == -(2**63) else low
+    for value in [True, 7.0, 7.5, "7", None, 2**63, low - 1]:
+        with pytest.raises(error) as info:
+            read(value, tmp_path)
+        where = (prefix + name).format(path=tmp_path / "cache.jsonl", value=json.dumps(value))
+        assert str(info.value) == f"{where} must be an integer in [{shown}, 2**63), got {value!r}"
+
+
+# what json.loads can put in an array: ints, in int64 (its limits among them)
+# or past it, bools, floats, strings and null
+int64s = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1])
+json_values = (st.integers(-(2**64), 2**64) | st.sampled_from([-(2**63) - 1, 2**63])
+               | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=2) | st.none())
+
+
+def grids(values):
+    """Lists of 1-3 rows of 1-4 entries drawn from `values`, as a JSON array gives them."""
+    return st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(values, min_size=width, max_size=width),
+                               min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=grids(int64s) | grids(int64s | json_values))
+def test_integer_arrays_match_the_rule_entry_by_entry(cells):
+    # the rule for arrays gives each entry of a document's array to _integer,
+    # in order, and returns the int64 array when all of them pass
+    try:
+        want = [[model._integer(v, f"x[{i}][{j}]", -(2**63)) for j, v in enumerate(row)]
+                for i, row in enumerate(cells)]
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            model._integers(cells, "x")
+        assert str(info.value) == str(exc)
+    else:
+        got = model._integers(cells, "x")
+        assert got.dtype == np.int64 and got.tolist() == want
