@@ -29,12 +29,10 @@ the flattened layers; on a one-layer matrix, such as the averaged baseline,
 a step skips the layer lookup. Within one layer a tour's arc times are
 fixed, so the pass of layer s, over a prefix sum of each priced tour's
 layer-s times, carries every candidate then in layer s across all the arcs
-it leaves within that layer at once, to a later layer or to the depot; the
-passes stop once every candidate has reached the depot. Integer sums are
-exact, so both give the same bits; `_rejoin` alone asks a cost model
-(`_by_layer_runs`) which is cheaper. Float matrices are always walked arc by
-arc: prefix sums would change the order of float additions. Prefix sums are
-monotone: MultiLayerMatrix refuses negative times.
+it leaves within that layer at once. Integer sums are exact, so both give
+the same bits; `_rejoin` alone asks a cost model (`_costs`) which is
+cheaper. Float matrices are always walked arc by arc: prefix sums would
+change the order of float additions.
 
 The n_grasp construction trials grow in lockstep: after m insertions every
 trial has m clients placed and the same number left, so one walk prices the
@@ -47,14 +45,15 @@ another. An array of bounds draws the values, and leaves the generator
 state, of one scalar call per bound, so the stream, and the state
 improvement continues from, match a trial-by-trial build.
 
-The picks are known before the walk, so a construction step that goes by
-layer runs bounds, then prices (`_bounded_runs`): a candidate that cannot
-be among its trial's first pick + 1 ranks keeps a lower bound of its cost
-in place of its price. Walked moves and improvement moves are priced in
-full: on long tours most of their lanes would survive the bounds. An
-integer grid of more than KEYED_RANKING candidates is ranked by one unstable
-argsort of unique keys (delta, then flat index), which orders it as the
-stable sort would, and faster on grids that large.
+The picks are known before the walk, so a construction step long enough
+to pay for it bounds, then prices: a candidate that cannot be among its
+trial's first pick + 1 ranks keeps a lower bound of its cost in place of
+its price, and the cost model picks layer runs or the walk for the rest.
+Short steps, and improvement moves, most of whose lanes would survive the
+bounds, are priced in full. An integer grid of more than KEYED_RANKING
+candidates is ranked by one unstable argsort of unique keys (delta, then
+flat index), which orders it as the stable sort would, and faster on grids
+that large.
 
 Improvement rounds run in speculative batches. Most rounds do not beat the
 incumbent, and a round's draws do not depend on its tour: deletion d offers
@@ -143,7 +142,7 @@ def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix, bound=None)
     `nodes` the clients it may take. Every tour has the same length. Lane
     (p, t, j) leaves paths[t][p], visits nodes[t][j] and rejoins at paths[t][p + 1].
     With a `bound` (low, high, picks), only trial t's first picks[t] + 1
-    ranks need be exact (see `_bounded_runs`).
+    ranks need be exact (see `_bounds`).
     """
     paths = np.asarray(paths, dtype=np.intp)
     clock = np.asarray(clock, dtype=matrix.times.dtype)
@@ -176,43 +175,48 @@ def _rejoin(paths, clock, detour, first, matrix: MultiLayerMatrix, bound=None) -
     Lane (i, t, j) leaves paths[t][i] at clock[t][i], drives one arc from each
     (size - first, trials, j) array of flat indices in `detour`, then drives
     tour t from position i + first back to the depot, by layer runs or by the
-    arc walk, whichever `_by_layer_runs` picks. A move that goes by layer
-    runs with a `bound` prices only the lanes that `_bounded_runs` keeps; the
-    walk prices every lane.
+    arc walk, whichever `_costs` says is cheaper. A move with a `bound` whose
+    walk costs over three times its bounds (the lanes kept cost about twice
+    the bounds to price) is bounded first, and only the lanes kept are priced.
     """
     trials, size = paths.shape
+    arcs = len(detour) + size - 1 - first  # lane 0's: the detour, then the tour from first
     k = np.repeat(clock.T[: size - first, :, None], detour[0].shape[2], axis=2)
-    # lane 0 drives the most arcs: the detour, then the tour from position first
-    if _by_layer_runs(len(detour) + size - 1 - first, k.size, clock, matrix):
+    own = paths[:, :-1] * matrix.n_nodes + paths[:, 1:]  # each tour's arcs, as flat indices
+    walk, runs, bounds = _costs(arcs, k.size, clock, matrix)
+    if bound is not None and walk > 3 * bounds:
         _advance(k, detour, matrix)
-        if bound is not None:
-            return _bounded_runs(paths, k, first, matrix, *bound)
+        least, lane = _bounds(own, k, first, *bound)
+        walk, runs, _ = _costs(arcs, lane[0].size, clock, matrix)
+        price = _layer_runs if runs < walk else _walk
+        least[lane] = price(own, k[lane], lane[1], lane[0] + first, matrix)
+        return least
+    if runs < walk:
+        _advance(k, detour, matrix)
         pos = np.arange(first, size)[:, None, None]
-        return _layer_runs(paths, k, np.arange(trials)[:, None], pos, matrix)
-    # the tour's own arcs, position-major: lane i takes own[i + first + j] at walk step j
-    own = (paths[:, :-1] * matrix.n_nodes + paths[:, 1:]).T.copy()[:, :, None]
-    walk = (own[first + j :] for j in range(size - 1 - first))
-    return _advance(k, chain(detour, walk), matrix)
+        return _layer_runs(own, k, np.arange(trials)[:, None], pos, matrix)
+    # position-major: lane i takes own arc i + first + j at walk step j
+    own = own.T.copy()[:, :, None]
+    tail = (own[first + j :] for j in range(size - 1 - first))
+    return _advance(k, chain(detour, tail), matrix)
 
 
-def _bounded_runs(paths, k, first, matrix: MultiLayerMatrix, low, high, picks) -> np.ndarray:
-    """`_layer_runs` for the lanes of `_rejoin` (lane (i, t, j) back on tour t
-    at position i + first at time k[i, t, j]) that can rank among the first
-    keep = picks[t] + 1 of trial t; every other lane gets a lower bound of
-    its arrival.
+def _bounds(own, k, first, low, high, picks):
+    """Lower bounds of the arrivals of `_rejoin`'s lanes (lane (i, t, j) back
+    at position i + first of tour t, whose arcs are own[t], at time k[i, t, j]),
+    and the position-major indices of the lanes that can rank among the first
+    keep = picks[t] + 1 of trial t.
 
     `low` and `high` hold each arc's least and greatest time over the layers,
     by flat index, so a lane arrives in [k + the sum of `low`, k + the sum of
     `high`] over the tour's arcs after it rejoins. A lane whose lower bound
     exceeds its trial's keep-th smallest upper bound has keep lanes strictly
-    cheaper than it, so it is not among the first keep, not even on a tie.
-    It keeps its lower bound, which ranks it after all of them, and only the
-    other lanes are priced, as 1-D lanes. A bound adds at most n arc times,
-    and MultiLayerMatrix keeps n times its largest below 2**63: none wraps.
+    cheaper, so it is not among the first keep, not even on a tie, and its
+    lower bound ranks it after them. A bound adds at most n arc times, and
+    MultiLayerMatrix keeps n times its largest below 2**63: none wraps.
     """
-    trials, size = paths.shape
-    own = paths[:, :-1] * matrix.n_nodes + paths[:, 1:]
-    sums = np.zeros((2, trials, size), dtype=np.int64)
+    trials = len(own)
+    sums = np.zeros((2, trials, own.shape[1] + 1), dtype=np.int64)
     np.cumsum(low[own], axis=1, out=sums[0, :, 1:])
     np.cumsum(high[own], axis=1, out=sums[1, :, 1:])
     # rest[b, x, t]: bound b of tour t's arcs from position x to the depot
@@ -220,33 +224,42 @@ def _bounded_runs(paths, k, first, matrix: MultiLayerMatrix, low, high, picks) -
     least = k + rest[0]
     most = (k + rest[1]).transpose(1, 0, 2).reshape(trials, -1)
     cut = np.partition(most, picks, axis=1)[np.arange(trials), picks]
-    lane = np.nonzero(least <= cut[:, None])
-    least[lane] = _layer_runs(paths, k[lane], lane[1], lane[0] + first, matrix)
-    return least
+    return least, np.nonzero(least <= cut[:, None])
 
 
-def _by_layer_runs(arcs, lanes, clock, matrix: MultiLayerMatrix) -> bool:
-    """Whether a move is priced by `_layer_runs` rather than `_advance`: its
-    `lanes` lanes walk up to `arcs` arcs, on tours whose times are `clock`.
+def _walk(own, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
+    """`_layer_runs` by the arc walk, for 1-D lanes by ascending `pos`: lane r
+    drives on from position pos[r] of tour tour[r], whose arcs are own[tour[r]],
+    so the lanes still moving at walk step j lead, each taking arc pos[r] + j."""
+    arcs = own.shape[1]
+    at = tour * arcs + pos
+    moving = pos.searchsorted(np.arange(arcs, 0, -1)).tolist()
+    return _advance(k, (own.take(at[:m] + j) for j, m in enumerate(moving) if m), matrix)
 
-    Only integer matrices qualify: prefix sums would change the order of
-    float additions. Otherwise the one a cost model says is cheaper, in µs,
-    fitted to both on tours of 8-200 clients and 1-30 trials (2 vCPUs): an
-    arc step of the walk costs about 4 µs and 2 ns a lane (on average half
-    the lanes still move), and a layer pass 4 µs and 30 ns a lane, after
-    30 µs more set-up than the walk. A move takes one pass per layer its
-    tours reach, plus one for a layer its detours reach.
+
+def _costs(arcs, lanes, clock, matrix: MultiLayerMatrix):
+    """Estimated µs to price a move whose `lanes` lanes drive up to `arcs`
+    arcs on tours whose times are `clock`: by the walk, by layer runs, and to
+    bound it. Only integer matrices take layer runs or bounds: prefix sums
+    would change the order of float additions. Fitted to each way timed in
+    whole solves of 8-200 clients and 1-30 trials (2 vCPUs): a walk step
+    costs 4 µs and 2 ns a lane (on average half the lanes move); layer runs
+    60 µs, then 2 µs and 22 ns a lane a pass, one per layer the tours reach
+    and one for the detours'; bounds 16 µs, 10 ns a lane, 100 ns a position.
     """
     if matrix.times.dtype != np.int64:
-        return False
-    steps = min(matrix.n_layers, int(clock.max()) // matrix.step_seconds + 2)
-    return 30 + steps * (4 + lanes / 33) < arcs * (4 + lanes / 480)
+        return 0, np.inf, np.inf
+    # a clock never falls, so each tour's latest time is its cost
+    steps = min(matrix.n_layers, max(clock[:, -1].tolist()) // matrix.step_seconds + 2)
+    bounds = 16 + lanes / 100 + clock.size / 10
+    return arcs * (4 + lanes / 500), 60 + steps * (2 + lanes / 45), bounds
 
 
-def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
+def _layer_runs(own, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
     """Depot arrival times of lanes that follow their tour's own arcs.
 
-    Lane r stands at paths[tour[r]][pos[r]] at time k[r] (`tour` and `pos`
+    Row t of `own` holds tour t's arcs as flat indices. Lane r stands at
+    position pos[r] of tour tour[r] at time k[r] (`tour` and `pos`
     broadcast to the shape of `k`) and drives the rest of that tour, every arc
     priced on the layer of its own departure. Within one layer a tour's arc
     times are fixed, so prefix[s, t, x], the layer-s time of the first x arcs
@@ -256,7 +269,9 @@ def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
     the depot. One pass per layer moves every lane: the pass of layer s
     leaves a lane already past layer s, or at the depot, where it stands, and
     in the last layer every lane drives to the depot, with no search. The
-    passes stop once every lane is at the depot.
+    passes stop once every lane is at the depot. Pass s skips the lanes from
+    ends[s] on, which all start past layer s (by the suffix minimum of the
+    starts): lanes come position-major, so on long tours about half of them.
 
     Layer s is one slab of rows, one per tour, laid end to end: row t is
     tour t's prefix sums, shifted past row t - 1 by more than any search
@@ -266,13 +281,12 @@ def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
     the depot's time, and never reads the next row. A budget is capped at
     top + 1 s, more than any tour needs, so a lane cannot search past that
     ceiling. Arc times are integers, and >= 0 in every MultiLayerMatrix; the
-    sums are exact, equal to the scalar walk's bit for bit.
+    sums are exact, equal to the scalar walk's bit for bit. An int64 `k` is
+    advanced in place.
     """
-    times, step = matrix.times, matrix.step_seconds
-    layers = matrix.n_layers
-    trials, size = paths.shape
+    times, step, layers = matrix.times, matrix.step_seconds, matrix.n_layers
+    trials, size = own.shape[0], own.shape[1] + 1
     cols = size + 1  # the tour's positions, then the sentinel
-    own = paths[:, :-1] * matrix.n_nodes + paths[:, 1:]
     slab = np.zeros((layers, trials, cols), dtype=np.int64)
     np.cumsum(times.reshape(layers, -1)[:, own], axis=2, out=slab[:, :, 1:size])
     slab[:, :, size] = slab[:, :, size - 1]
@@ -291,29 +305,25 @@ def _layer_runs(paths, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
     slab, key = slab.reshape(layers, trials * cols), key.reshape(layers - 1, trials * cols)
     at = np.empty(k.shape, dtype=np.int64)  # each lane's column in its slab
     np.add(tour * cols, pos, out=at)
-    depot = at - pos  # and its tour's depot column
-    depot += size - 1
+    depot = at + (size - 1 - pos)  # and its tour's depot column
     shape, at, depot = k.shape, at.ravel(), depot.ravel()
-    k = k.astype(np.int64).ravel()
-    # no lane is at the depot for good before the latest start has moved
-    # (initial=0: a move may have no lanes)
-    latest = min(int(k.max(initial=0)) // step, layers - 1)
-    for s in range(layers - 1):
-        values = slab[s]
-        start = values[at]
-        budget = np.subtract((s + 1) * step, k)  # <= 0 for a lane past layer s
+    k = k.astype(np.int64, copy=False).ravel()
+    ends = np.minimum.accumulate(k[::-1])[::-1].searchsorted(np.arange(step, layers * step, step))
+    for s, end in enumerate(ends.tolist()):
+        values, lanes, clocks = slab[s], at[:end], k[:end]
+        start = values[lanes]
+        budget = np.subtract((s + 1) * step, clocks)  # <= 0 for a lane past layer s
         np.minimum(budget, top + 1, out=budget)
         budget += start
-        np.maximum(key[s].searchsorted(budget), at, out=at)
-        gain = values[at]
+        np.maximum(key[s].searchsorted(budget), lanes, out=lanes)
+        gain = values[lanes]
         gain -= start
-        k += gain
-        if s >= latest and (at >= depot).all():
+        clocks += gain
+        # a lane past `end` has not moved yet
+        if end == k.size and (at >= depot).all():
             return k.reshape(shape)
     values = slab[-1]
-    gain = values[depot]
-    gain -= values[at]
-    k += gain
+    k += values[depot] - values[at]
     return k.reshape(shape)
 
 

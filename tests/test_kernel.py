@@ -2,17 +2,18 @@
 
 `model._advance` prices many tours at once, each lane starting from a cached
 departure part-way along a tour, and `grasp._layer_runs` finishes lanes on
-their own tour one layer run at a time. These properties check both, that
-they price every move alike whichever one the cost model would pick, that
-bounded construction steps keep the ranks a trial can draw, that keyed
-ranking sorts as the stable sort does, the tour edits that keep a clock, and
-the move pricing, lockstep construction, speculative improvement rounds and
-exhaustive search built on them, against
-`naive_departures` and plain one-at-a-time loops on random tours, start
-slots and matrices: integer and fractional layers, departures far past the
-horizon, empty and one-client tours, values drawn from a narrow range so that
-many moves tie, and diagonals that are not zero (a walk must never read a
-self-arc).
+their own tour one layer run at a time, each pass over the lanes that start
+by its layer. These properties check both, that they price every move alike
+whichever one the cost model (`grasp._costs`) would pick, that bounded
+construction steps keep the ranks a trial can draw, whichever way they price
+the lanes the bounds keep, that keyed ranking sorts as the stable sort does,
+the tour edits that keep a clock, and the move pricing, lockstep
+construction, speculative improvement rounds and exhaustive search built on
+them, against `naive_departures` and plain one-at-a-time loops on random
+tours, start slots and matrices: integer and fractional layers, departures
+far past the horizon, empty and one-client tours, values drawn from a narrow
+range so that many moves tie, and diagonals that are not zero (a walk must
+never read a self-arc).
 """
 
 import warnings
@@ -119,6 +120,12 @@ def test_float_clocks_far_past_the_horizon_walk_on_the_last_layer():
     assert _exact(arrivals) == _exact([total] * len(departures))
 
 
+def _arcs(paths, matrix):
+    """Each tour's arcs as flat indices, the form `_layer_runs` reads."""
+    paths = np.asarray(paths)
+    return paths[:, :-1] * matrix.n_nodes + paths[:, 1:]
+
+
 def _finish(path, pos, k, matrix):
     """Reference: leave path[pos] at time k and drive the rest of the path,
     one arc at a time, each on the layer of its own departure."""
@@ -148,12 +155,12 @@ def test_layer_runs_match_the_reference_walk(data):
     ]
     paths = np.array([[0, *order, 0] for order in orders], dtype=np.intp)
     span = 2000 * n  # longer than any tour here takes
-    lanes = data.draw(st.lists(
-        st.tuples(st.integers(0, len(orders) - 1), st.integers(0, clients + 1),
-                  st.one_of(st.none(), st.integers(0, span),
-                            st.integers(0, 3 * n_layers * step + span))),
-        min_size=1, max_size=30,
-    ))
+    lane = st.tuples(st.integers(0, len(orders) - 1), st.integers(0, clients + 1),
+                     st.one_of(st.none(), st.integers(0, span),
+                               st.integers(0, 3 * n_layers * step + span)))
+    # a few lanes, or up to 300: a pass over a prefix of many lanes
+    lanes = data.draw(st.lists(lane, min_size=1, max_size=30)
+                      | st.lists(lane, min_size=31, max_size=300))
     tour, pos, k, expected = [], [], [], []
     for t, p, start in lanes:
         departures, total = _naive(orders[t], matrix)
@@ -164,8 +171,12 @@ def test_layer_runs_match_the_reference_walk(data):
             start = start or 0
             expected.append(_finish(paths[t].tolist(), p, start, matrix))
         tour.append(t), pos.append(p), k.append(start)
-    got = _layer_runs(paths, np.array(k, dtype=np.int64), np.array(tour), np.array(pos), matrix)
-    assert got.tolist() == expected
+    # as drawn, earliest start first or latest start first
+    order = data.draw(st.sampled_from([None, 1, -1]))
+    listed = np.arange(len(k)) if order is None else np.argsort(order * np.array(k), kind="stable")
+    got = _layer_runs(_arcs(paths, matrix), np.array(k, dtype=np.int64)[listed],
+                      np.array(tour)[listed], np.array(pos)[listed], matrix)
+    assert got.tolist() == np.array(expected)[listed].tolist()
 
 
 def _lanes_from_the_depot(trials):
@@ -181,21 +192,21 @@ def test_layer_runs_refuse_sums_that_would_wrap():
         times = rng.integers(scale // 2, scale, size=(8, 41, 41))
         matrix = MultiLayerMatrix(times=times, step_seconds=3600)
         if fits:
-            got = _layer_runs(paths, *_lanes_from_the_depot(30), matrix)
+            got = _layer_runs(_arcs(paths, matrix), *_lanes_from_the_depot(30), matrix)
             assert got.tolist() == [_finish(path.tolist(), 0, 0, matrix) for path in paths]
         else:
             with pytest.raises(InputError, match="too large to price exactly"):
-                _layer_runs(paths, *_lanes_from_the_depot(30), matrix)
+                _layer_runs(_arcs(paths, matrix), *_lanes_from_the_depot(30), matrix)
     # as many of those tours as fit below 2**63, the longest first: the last
     # row sits just under the limit and is priced exactly
     tops = times[:, paths[:, :-1], paths[:, 1:]].sum(axis=2).max(axis=0)
     paths = paths[np.argsort(-tops, kind="stable")]
     fit = (2**63 - 1) // (2 * int(tops.max()) + 2)
     assert 1 < fit < 30
-    got = _layer_runs(paths[:fit], *_lanes_from_the_depot(fit), matrix)
+    got = _layer_runs(_arcs(paths[:fit], matrix), *_lanes_from_the_depot(fit), matrix)
     assert got.tolist() == [_finish(path.tolist(), 0, 0, matrix) for path in paths[:fit]]
     with pytest.raises(InputError, match="too large to price exactly"):
-        _layer_runs(paths[: fit + 1], *_lanes_from_the_depot(fit + 1), matrix)
+        _layer_runs(_arcs(paths[: fit + 1], matrix), *_lanes_from_the_depot(fit + 1), matrix)
 
 
 def test_layer_runs_on_a_horizon_far_past_the_tours():
@@ -213,10 +224,38 @@ def test_layer_runs_on_a_horizon_far_past_the_tours():
             for t in range(3)
         ]
         assert max(map(max, expected)) < 30 * 1800
-        assert _layer_runs(paths, k, tour, pos, matrix).tolist() == expected
+        assert _layer_runs(_arcs(paths, matrix), k, tour, pos, matrix).tolist() == expected
     # inserting into complete tours: no node left, so no lane
     none = np.zeros((22, 3, 0), dtype=np.int64)
-    assert _layer_runs(paths, none, tour.T[:, :, None], pos.T[:, :, None], matrix).shape == (22, 3, 0)
+    got = _layer_runs(_arcs(paths, matrix), none, tour.T[:, :, None], pos.T[:, :, None], matrix)
+    assert got.shape == (22, 3, 0)
+
+
+# lanes (tour, position, start) on two 9-client tours of 6 layers x 600 s;
+# each tour takes about 3,200 s, so a lane from position 0 at 0 s crosses 5 layers
+LIVE_LANES = {
+    # each lane starts before the one listed ahead of it: no pass may skip any
+    "latest start first": [(i % 2, i % 10, 3300 - 280 * i) for i in range(12)],
+    "starting in the last layer": [(0, 0, 0), (1, 3, 700), (0, 2, 3000), (1, 0, 3599),
+                                   (0, 5, 10**6)],
+    "all in the last layer": [(1, 0, 3000), (0, 4, 4000), (1, 9, 3000)],
+    # position 10 is the depot: a lane there keeps its start, whatever it is
+    "already at the depot": [(0, 10, 0), (1, 4, 500), (1, 10, 50), (0, 0, 0), (0, 10, 5000),
+                             (1, 10, 1300)],
+    "one per layer": [(r % 2, r, 600 * r + 17) for r in range(6)],
+}
+
+
+@pytest.mark.parametrize("case", LIVE_LANES)
+def test_layer_runs_skip_only_lanes_that_start_past_the_layer(case):
+    rng = np.random.default_rng(26)
+    matrix = MultiLayerMatrix(times=rng.integers(200, 500, size=(6, 10, 10)), step_seconds=600)
+    paths = np.array([[0, *rng.permutation(np.arange(1, 10)), 0] for _ in range(2)])
+    tour, pos, k = (np.array(column) for column in zip(*LIVE_LANES[case]))
+    expected = [_finish(paths[t].tolist(), p, start, matrix) for t, p, start in LIVE_LANES[case]]
+    assert _layer_runs(_arcs(paths, matrix), k, tour, pos, matrix).tolist() == expected
+    if case == "latest start first":  # lanes from the first layer to the last
+        assert max(expected) > 5 * 600 and min(start for _, _, start in LIVE_LANES[case]) < 600
 
 
 def test_forty_client_solve_by_layer_runs_matches_the_walk(monkeypatch):
@@ -329,15 +368,24 @@ def test_deleting_the_only_client_leaves_a_free_empty_tour(data):
     assert _exact(savings[0]) == _exact([clock[-1] for _, clock in states])
 
 
+# `grasp._costs` estimates (walk, layer runs, bounds) that force one way of
+# pricing on every move, whatever the cost model would pick: walked or run in
+# full, or, for a construction step, bounded and the lanes kept run or walked
+WALK, RUNS = (0, np.inf, np.inf), (1, 0, np.inf)
+BOUNDED_RUNS, BOUNDED_WALK = (1, 0, 0), (1, 2, 0)
+
+
+def _priced(costs, price):
+    """What `price()` returns with `grasp._costs` fixed to `costs`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grasp, "_costs", lambda *_: costs)
+        return price()
+
+
 def _both_branches(price):
     """The grid `price()` returns with every move priced by layer runs, then
     with every move walked arc by arc, whatever the cost model would pick."""
-    grids = []
-    for runs in (True, False):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grasp, "_by_layer_runs", lambda *_: runs)
-            grids.append(price())
-    return grids
+    return [_priced(costs, price) for costs in (RUNS, WALK)]
 
 
 @SETTINGS
@@ -418,11 +466,11 @@ def test_lockstep_construction_matches_trial_by_trial(matrix, k_grasp, n_grasp, 
 
 
 @st.composite
-def bounded_matrices(draw):
+def bounded_matrices(draw, max_nodes=9):
     """An integer matrix for the bounds: 1-8 layers, some of them copies of
     another (ties between layers), some arcs of 0 s, and steps short enough
     that many departures fall past the horizon."""
-    n = draw(st.integers(2, 9))
+    n = draw(st.integers(2, max_nodes))
     n_layers = draw(st.integers(1, 8))
     step = draw(st.sampled_from([1, 7, 150, 900, 3600]))
     high = draw(st.sampled_from([1, 3, 40, 2000]))  # 1: every arc takes 0 s
@@ -457,35 +505,33 @@ def test_bounded_pricing_keeps_the_first_ranks_of_full_pricing(data):
     free = [sorted(set(clients) - set(order)) for order in orders]
     candidates = (size + 1) * len(free[0])
     keep = [data.draw(st.integers(1, min(5, candidates))) for _ in orders]
-    picks = np.array(keep) - 1
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grasp, "_by_layer_runs", lambda *_: True)
-        full = _insertion_deltas(paths, clocks, free, matrix)
-        bounded = _insertion_deltas(paths, clocks, free, matrix, (*_arc_range(matrix), picks))
-    assert (bounded <= full).all()  # a pruned candidate holds a lower bound
-    for t, first in enumerate(keep):
-        ranks = enumerate_insertions(full[:, t])[:first]
-        assert enumerate_insertions(bounded[:, t])[:first].tolist() == ranks.tolist()
-        assert bounded[:, t].T.ravel()[ranks].tolist() == full[:, t].T.ravel()[ranks].tolist()
+    bound = (*_arc_range(matrix), np.array(keep) - 1)
+    full = _priced(RUNS, lambda: _insertion_deltas(paths, clocks, free, matrix))
+    for costs in (BOUNDED_RUNS, BOUNDED_WALK):
+        bounded = _priced(costs, lambda: _insertion_deltas(paths, clocks, free, matrix, bound))
+        assert (bounded <= full).all()  # a pruned candidate holds a lower bound
+        for t, first in enumerate(keep):
+            ranks = enumerate_insertions(full[:, t])[:first]
+            assert enumerate_insertions(bounded[:, t])[:first].tolist() == ranks.tolist()
+            assert bounded[:, t].T.ravel()[ranks].tolist() == full[:, t].T.ravel()[ranks].tolist()
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    matrix=bounded_matrices(),
+    matrix=bounded_matrices(max_nodes=61),
     k_grasp=st.integers(1, 5),
     trials=st.integers(1, 4),
     seed=st.integers(0, 2**64 - 1),
 )
 def test_bounded_construction_matches_full_pricing(matrix, k_grasp, trials, seed):
-    # every step by layer runs, so bounded, against every step walked in full
+    # 1-60 clients, every step bounded, the lanes kept run or walked, against
+    # every step walked in full
     built = []
-    for runs in (True, False):
+    for costs in (WALK, BOUNDED_RUNS, BOUNDED_WALK):
         rng = np.random.default_rng(seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grasp, "_by_layer_runs", lambda *_: runs)
-            paths, clocks = construct_route(matrix, k_grasp, rng, trials)
+        paths, clocks = _priced(costs, lambda: construct_route(matrix, k_grasp, rng, trials))
         built.append((paths, _exact(np.concatenate(clocks)), rng.bit_generator.state))
-    assert built[0] == built[1]
+    assert built[0] == built[1] == built[2]
 
 
 @st.composite

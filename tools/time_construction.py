@@ -2,8 +2,10 @@
 profile (8 layers x 4,800 s, k_grasp 3, seed 1).
 
 Each case is (clients, trials); its CPU time is this thread's `thread_time`
-over one call, the median of `--repeats` calls. The tdvrp package is the one
-on PYTHONPATH, so the same script times any tree:
+over one call, the median of `--repeats` calls. 200 x 30 is the long build
+that bounding each step serves; 30 x 30 and 9 x 30 are short tours, whose
+steps are too short to pay for bounds and are priced in full. The tdvrp
+package is the one on PYTHONPATH, so the same script times any tree:
 
     PYTHONPATH=src python3 tools/time_construction.py
 """
@@ -20,7 +22,7 @@ from tdvrp.grasp import construct_route
 from tdvrp.instances import random_instance
 from tdvrp.synth import TrafficProfile, generate_synthetic
 
-CASES = ((100, 1), (200, 8))
+CASES = ((100, 1), (200, 8), (200, 30), (30, 30), (9, 30))
 
 
 def _matrix(clients, seed):
@@ -44,7 +46,7 @@ def main():
             _, clocks = construct_route(matrix, 3, np.random.default_rng(args.seed), trials)
             times.append(time.thread_time() - t0)
             costs = [clock[-1] for clock in clocks]
-        print(f"{clients} clients x {trials} trials: {statistics.median(times):.3f} s CPU "
+        print(f"{clients} clients x {trials} trials: {statistics.median(times):.4f} s CPU "
               f"(median of {args.repeats}), costs {costs}")
 
 
