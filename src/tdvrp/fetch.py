@@ -40,7 +40,6 @@ import operator
 import os
 import re
 import time
-import warnings
 from dataclasses import dataclass
 from math import ceil, isqrt
 
@@ -417,11 +416,9 @@ def _parse_written(data: bytes):
     if b" ," in data or b" }" in data or _MINUS_NOT_BEFORE_DIGIT.search(data):
         return None
     try:
-        with warnings.catch_warnings():
-            # numpy 1.x warns where 2.x raises on text it cannot read to the end
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(data.translate(_BLANK_SKELETON), dtype=np.int64, sep=" ")
-    except (ValueError, DeprecationWarning):
+        # numpy raises on text it cannot read to the end
+        values = np.fromstring(data.translate(_BLANK_SKELETON), dtype=np.int64, sep=" ")
+    except ValueError:
         return None
     if len(values) != 4 * m or _INT64.min in values or _INT64.max in values:
         return None

@@ -30,7 +30,7 @@ a step skips the layer lookup. Within one layer a tour's arc times are
 fixed, so the pass of layer s, over a prefix sum of each priced tour's
 layer-s times, carries every candidate then in layer s across all the arcs
 it leaves within that layer at once. Integer sums are exact, so both give
-the same bits; `_rejoin` alone asks a cost model (`_costs`) which is
+the same bits; `_rejoin` alone asks one rule (`_way`) which way is
 cheaper. Float matrices are always walked arc by arc: prefix sums would
 change the order of float additions.
 
@@ -48,9 +48,9 @@ improvement continues from, match a trial-by-trial build.
 The picks are known before the walk, so a construction step long enough
 to pay for it bounds, then prices: a candidate that cannot be among its
 trial's first pick + 1 ranks keeps a lower bound of its cost in place of
-its price, and the cost model picks layer runs or the walk for the rest.
-Short steps, and improvement moves, most of whose lanes would survive the
-bounds, are priced in full. An integer grid of more than KEYED_RANKING
+its price, and the rest go by layer runs. Short steps, and improvement
+moves, most of whose lanes would survive the bounds, are priced in full,
+by layer runs or the walk. An integer grid of more than KEYED_RANKING
 candidates is ranked by one unstable argsort of unique keys (delta, then
 flat index), which orders it as the stable sort would, and faster on grids
 that large.
@@ -174,31 +174,27 @@ def _rejoin(paths, clock, detour, first, matrix: MultiLayerMatrix, bound=None) -
 
     Lane (i, t, j) leaves paths[t][i] at clock[t][i], drives one arc from each
     (size - first, trials, j) array of flat indices in `detour`, then drives
-    tour t from position i + first back to the depot, by layer runs or by the
-    arc walk, whichever `_costs` says is cheaper. A move with a `bound` whose
-    walk costs over three times its bounds (the lanes kept cost about twice
-    the bounds to price) is bounded first, and only the lanes kept are priced.
+    tour t from position i + first back to the depot, the way `_way` names:
+    by the arc walk, by layer runs, or, for a move with a `bound`, bounded
+    first and only the lanes kept run.
     """
     trials, size = paths.shape
     arcs = len(detour) + size - 1 - first  # lane 0's: the detour, then the tour from first
     k = np.repeat(clock.T[: size - first, :, None], detour[0].shape[2], axis=2)
     own = paths[:, :-1] * matrix.n_nodes + paths[:, 1:]  # each tour's arcs, as flat indices
-    walk, runs, bounds = _costs(arcs, k.size, clock, matrix)
-    if bound is not None and walk > 3 * bounds:
-        _advance(k, detour, matrix)
+    way = _way(arcs, k.size, clock, matrix, bound is not None)
+    if way == "walk":
+        # position-major: lane i takes own arc i + first + j at walk step j
+        own = own.T.copy()[:, :, None]
+        tail = (own[first + j :] for j in range(size - 1 - first))
+        return _advance(k, chain(detour, tail), matrix)
+    _advance(k, detour, matrix)
+    if way == "bounds":
         least, lane = _bounds(own, k, first, *bound)
-        walk, runs, _ = _costs(arcs, lane[0].size, clock, matrix)
-        price = _layer_runs if runs < walk else _walk
-        least[lane] = price(own, k[lane], lane[1], lane[0] + first, matrix)
+        least[lane] = _layer_runs(own, k[lane], lane[1], lane[0] + first, matrix)
         return least
-    if runs < walk:
-        _advance(k, detour, matrix)
-        pos = np.arange(first, size)[:, None, None]
-        return _layer_runs(own, k, np.arange(trials)[:, None], pos, matrix)
-    # position-major: lane i takes own arc i + first + j at walk step j
-    own = own.T.copy()[:, :, None]
-    tail = (own[first + j :] for j in range(size - 1 - first))
-    return _advance(k, chain(detour, tail), matrix)
+    pos = np.arange(first, size)[:, None, None]
+    return _layer_runs(own, k, np.arange(trials)[:, None], pos, matrix)
 
 
 def _bounds(own, k, first, low, high, picks):
@@ -227,32 +223,27 @@ def _bounds(own, k, first, low, high, picks):
     return least, np.nonzero(least <= cut[:, None])
 
 
-def _walk(own, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:
-    """`_layer_runs` by the arc walk, for 1-D lanes by ascending `pos`: lane r
-    drives on from position pos[r] of tour tour[r], whose arcs are own[tour[r]],
-    so the lanes still moving at walk step j lead, each taking arc pos[r] + j."""
-    arcs = own.shape[1]
-    at = tour * arcs + pos
-    moving = pos.searchsorted(np.arange(arcs, 0, -1)).tolist()
-    return _advance(k, (own.take(at[:m] + j) for j, m in enumerate(moving) if m), matrix)
-
-
-def _costs(arcs, lanes, clock, matrix: MultiLayerMatrix):
-    """Estimated µs to price a move whose `lanes` lanes drive up to `arcs`
-    arcs on tours whose times are `clock`: by the walk, by layer runs, and to
-    bound it. Only integer matrices take layer runs or bounds: prefix sums
-    would change the order of float additions. Fitted to each way timed in
-    whole solves of 8-200 clients and 1-30 trials (2 vCPUs): a walk step
-    costs 4 µs and 2 ns a lane (on average half the lanes move); layer runs
-    60 µs, then 2 µs and 22 ns a lane a pass, one per layer the tours reach
-    and one for the detours'; bounds 16 µs, 10 ns a lane, 100 ns a position.
+def _way(arcs, lanes, clock, matrix: MultiLayerMatrix, bounded) -> str:
+    """How to price a move whose `lanes` lanes drive up to `arcs` arcs on
+    tours whose times are `clock`: "walk", "runs" or, if the move is
+    `bounded`, "bounds", by estimated µs. Only integer matrices take layer
+    runs or bounds: prefix sums would change the order of float additions.
+    Fitted to each way timed in whole solves of 8-200 clients and 1-30
+    trials (2 vCPUs): a walk step costs 4 µs and 2 ns a lane (on average
+    half the lanes move); layer runs 60 µs, then 2 µs and 22 ns a lane a
+    pass, one per layer the tours reach and one for the detours'; bounds
+    16 µs, 10 ns a lane, 100 ns a position. A move whose walk costs over
+    three times its bounds is bounded: the lanes kept then cost about twice
+    the bounds to price.
     """
     if matrix.times.dtype != np.int64:
-        return 0, np.inf, np.inf
+        return "walk"
+    walk = arcs * (4 + lanes / 500)
+    if bounded and walk > 3 * (16 + lanes / 100 + clock.size / 10):
+        return "bounds"
     # a clock never falls, so each tour's latest time is its cost
     steps = min(matrix.n_layers, max(clock[:, -1].tolist()) // matrix.step_seconds + 2)
-    bounds = 16 + lanes / 100 + clock.size / 10
-    return arcs * (4 + lanes / 500), 60 + steps * (2 + lanes / 45), bounds
+    return "runs" if 60 + steps * (2 + lanes / 45) < walk else "walk"
 
 
 def _layer_runs(own, k, tour, pos, matrix: MultiLayerMatrix) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from tdvrp import compare
 from tdvrp.cli import main
-from tdvrp.errors import InputError
+from tdvrp.errors import InputError, InvariantError
 from tdvrp.model import (
     Route,
     Schedule,
@@ -111,6 +111,18 @@ def test_malformed_file_exits_with_input_error(tmp_path, capsys):
     rc = main(["solve", "--instance", str(bad), "--matrix", str(bad)])
     assert rc == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_an_invariant_failure_exits_4(small_setup, monkeypatch, capsys):
+    _, inst_path, _, matrix_path = small_setup
+
+    def broken(*_):
+        raise InvariantError("probe")
+
+    monkeypatch.setattr("tdvrp.cli.solve", broken)
+    rc = main(["solve", "--instance", str(inst_path), "--matrix", str(matrix_path), *FAST])
+    assert rc == 4
+    assert "internal error: probe" in capsys.readouterr().err
 
 
 def test_compare_identical_layers_gap_is_zero(tmp_path, rng, capsys):

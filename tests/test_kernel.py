@@ -4,9 +4,9 @@
 departure part-way along a tour, and `grasp._layer_runs` finishes lanes on
 their own tour one layer run at a time, each pass over the lanes that start
 by its layer. These properties check both, that they price every move alike
-whichever one the cost model (`grasp._costs`) would pick, that bounded
-construction steps keep the ranks a trial can draw, whichever way they price
-the lanes the bounds keep, that keyed ranking sorts as the stable sort does,
+whichever way the pricing rule (`grasp._way`) would pick, that bounded
+construction steps, whose kept lanes go by layer runs, keep the ranks a
+trial can draw, that keyed ranking sorts as the stable sort does,
 the tour edits that keep a clock, and the move pricing, lockstep
 construction, speculative improvement rounds and exhaustive search built on
 them, against `naive_departures` and plain one-at-a-time loops on random
@@ -368,24 +368,13 @@ def test_deleting_the_only_client_leaves_a_free_empty_tour(data):
     assert _exact(savings[0]) == _exact([clock[-1] for _, clock in states])
 
 
-# `grasp._costs` estimates (walk, layer runs, bounds) that force one way of
-# pricing on every move, whatever the cost model would pick: walked or run in
-# full, or, for a construction step, bounded and the lanes kept run or walked
-WALK, RUNS = (0, np.inf, np.inf), (1, 0, np.inf)
-BOUNDED_RUNS, BOUNDED_WALK = (1, 0, 0), (1, 2, 0)
-
-
-def _priced(costs, price):
-    """What `price()` returns with `grasp._costs` fixed to `costs`."""
+def _priced(way, price):
+    """What `price()` returns with every move priced the way `way` names
+    ("walk", "runs" or, for a construction step, "bounds"), whatever the
+    rule (`grasp._way`) would pick."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grasp, "_costs", lambda *_: costs)
+        patch.setattr(grasp, "_way", lambda *_: way)
         return price()
-
-
-def _both_branches(price):
-    """The grid `price()` returns with every move priced by layer runs, then
-    with every move walked arc by arc, whatever the cost model would pick."""
-    return [_priced(costs, price) for costs in (RUNS, WALK)]
 
 
 @SETTINGS
@@ -411,7 +400,7 @@ def test_layer_runs_and_the_walk_price_every_move_alike(data):
         moves.append(lambda: _insertion_deltas(paths, clocks, free, matrix))
         moves.append(lambda: _insertion_deltas(paths, clocks, [f[:1] for f in free], matrix))
     for price in moves:
-        runs, walk = _both_branches(price)
+        runs, walk = _priced("runs", price), _priced("walk", price)
         assert runs.dtype == walk.dtype == np.int64
         assert runs.shape == walk.shape
         assert runs.tolist() == walk.tolist()
@@ -506,14 +495,13 @@ def test_bounded_pricing_keeps_the_first_ranks_of_full_pricing(data):
     candidates = (size + 1) * len(free[0])
     keep = [data.draw(st.integers(1, min(5, candidates))) for _ in orders]
     bound = (*_arc_range(matrix), np.array(keep) - 1)
-    full = _priced(RUNS, lambda: _insertion_deltas(paths, clocks, free, matrix))
-    for costs in (BOUNDED_RUNS, BOUNDED_WALK):
-        bounded = _priced(costs, lambda: _insertion_deltas(paths, clocks, free, matrix, bound))
-        assert (bounded <= full).all()  # a pruned candidate holds a lower bound
-        for t, first in enumerate(keep):
-            ranks = enumerate_insertions(full[:, t])[:first]
-            assert enumerate_insertions(bounded[:, t])[:first].tolist() == ranks.tolist()
-            assert bounded[:, t].T.ravel()[ranks].tolist() == full[:, t].T.ravel()[ranks].tolist()
+    full = _priced("runs", lambda: _insertion_deltas(paths, clocks, free, matrix))
+    bounded = _priced("bounds", lambda: _insertion_deltas(paths, clocks, free, matrix, bound))
+    assert (bounded <= full).all()  # a pruned candidate holds a lower bound
+    for t, first in enumerate(keep):
+        ranks = enumerate_insertions(full[:, t])[:first]
+        assert enumerate_insertions(bounded[:, t])[:first].tolist() == ranks.tolist()
+        assert bounded[:, t].T.ravel()[ranks].tolist() == full[:, t].T.ravel()[ranks].tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -524,14 +512,14 @@ def test_bounded_pricing_keeps_the_first_ranks_of_full_pricing(data):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_bounded_construction_matches_full_pricing(matrix, k_grasp, trials, seed):
-    # 1-60 clients, every step bounded, the lanes kept run or walked, against
-    # every step walked in full
+    # 1-60 clients, every step bounded and the lanes kept run, against every
+    # step walked in full
     built = []
-    for costs in (WALK, BOUNDED_RUNS, BOUNDED_WALK):
+    for way in ("walk", "bounds"):
         rng = np.random.default_rng(seed)
-        paths, clocks = _priced(costs, lambda: construct_route(matrix, k_grasp, rng, trials))
+        paths, clocks = _priced(way, lambda: construct_route(matrix, k_grasp, rng, trials))
         built.append((paths, _exact(np.concatenate(clocks)), rng.bit_generator.state))
-    assert built[0] == built[1] == built[2]
+    assert built[0] == built[1]
 
 
 @st.composite

@@ -540,6 +540,23 @@ def test_instance_json_reads_integer_coordinates_and_a_missing_label():
     assert instance_from_json(json.dumps(doc)).nodes[1] == Node(1, 48.0, 2.0, "")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("nodes"),
+        lambda doc: doc["nodes"][1].pop("lat"),
+        lambda doc: doc.update(nodes=5),
+        lambda doc: doc["nodes"].append(7),
+    ],
+    ids=["no-nodes", "node-without-lat", "nodes-a-number", "node-not-an-object"],
+)
+def test_instance_json_refuses_a_malformed_document(edit):
+    doc = _instance_document()
+    edit(doc)
+    with pytest.raises(InputError, match="^malformed instance document: "):
+        instance_from_json(json.dumps(doc))
+
+
 # --- the node rule: Instance checks every node, loaded or built in code ------
 
 
