@@ -161,9 +161,6 @@ def _deletion_savings(paths, clock, matrix: MultiLayerMatrix) -> np.ndarray:
     """
     paths = np.asarray(paths, dtype=np.intp)
     clock = np.asarray(clock, dtype=matrix.times.dtype)
-    if paths.shape[1] == 3:
-        # each tour left is empty and costs 0; there is no arc to walk
-        return clock[:, -1:].T
     # the arc that skips each client, lane-major: the walk reads contiguous arrays faster
     skip = (paths[:, :-2] * matrix.n_nodes + paths[:, 2:]).T.copy()[:, :, None]
     return clock[:, -1] - _rejoin(paths, clock, [skip], 2, matrix)[:, :, 0]
@@ -405,10 +402,8 @@ def _speculate(path, clock, draws, params: SolverParams, matrix: MultiLayerMatri
             row, times, i = paths[r], clocks[r], 1 + int(ranked[r, picks[d]])
             deleted[r, d] = row[i]
             row[i : end - 1] = row[i + 1 : end]
-            # the empty tour [0, 0] has no arc to walk and costs 0
-            times[i : end - 1] = (
-                _arrivals(times.item(i - 1), row.item(i - 1), row[i : end - 1].tolist(), matrix)
-                if end > 3 else 0
+            times[i : end - 1] = _arrivals(
+                times.item(i - 1), row.item(i - 1), row[i : end - 1].tolist(), matrix
             )
         tours = rounds
     for e in range(params.l_delete):

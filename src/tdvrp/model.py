@@ -140,6 +140,11 @@ def _as_times_array(times) -> np.ndarray:
         s, i, j = np.unravel_index(bad[0], arr.shape)
         rule = "be finite" if arr[s, i, j] == np.inf else "be >= 0"
         raise InputError(f"travel times must {rule}; times[{s}][{i}][{j}] = {arr[s, i, j]}")
+    loops = np.flatnonzero(np.diagonal(arr, axis1=1, axis2=2))
+    if loops.size:
+        s, i = np.unravel_index(loops[0], arr.shape[:2])
+        v = arr[s, i, i]
+        raise InputError(f"a node's travel time to itself must be 0; times[{s}][{i}][{i}] = {v}")
     # every tour drives n arcs: past 2**63 s its int64 clock would wrap
     n, top = arr.shape[1], int(arr.max())
     if arr.dtype.kind == "i" and n * top >= 2**63:
@@ -159,9 +164,10 @@ class MultiLayerMatrix:
     where they do not.
 
     Every matrix is checked here, whatever builds it: integer or float
-    times, each >= 0 and finite (not NaN, not infinite), integer times whose
-    n-arc tours stay below 2**63 s, and an integer step_seconds >= 1 whose
-    horizon n_layers * step_seconds stays below 2**63 s.
+    times, each >= 0 and finite (not NaN, not infinite), a zero diagonal (a
+    node is 0 s from itself), integer times whose n-arc tours stay below
+    2**63 s, and an integer step_seconds >= 1 whose horizon
+    n_layers * step_seconds stays below 2**63 s.
     """
 
     times: np.ndarray
@@ -283,8 +289,6 @@ def travel_time(i: int, j: int, k, matrix: MultiLayerMatrix):
 
 def _order_schedule(order, matrix: MultiLayerMatrix) -> Schedule:
     """Fast-path evaluation of a raw visit order (no validation)."""
-    if not order:
-        return Schedule((0,), 0)
     arrivals = _arrivals(0, 0, [*order, 0], matrix)
     return Schedule((0, *arrivals[:-1]), arrivals[-1])
 
@@ -355,7 +359,8 @@ def evaluate_route(route, matrix: MultiLayerMatrix) -> Schedule:
 
     The depot departure is time 0; each later departure adds the travel time
     of the incoming arc, costed at the layer of its own departure time. An
-    empty route costs 0; `_order` checks it against matrix.n_nodes.
+    empty route drives the arc 0->0 and costs 0; `_order` checks it against
+    matrix.n_nodes.
     """
     return _order_schedule(_order(route, matrix.n_nodes), matrix)
 
@@ -381,20 +386,17 @@ class LayerReport:
 class MatrixReport:
     """Diagnostic summary from validate_matrix; ok means the matrix is clean."""
 
-    nonzero_diagonal: int
     layers: tuple[LayerReport, ...]
 
     @property
     def ok(self) -> bool:
-        return self.nonzero_diagonal == 0 and all(l.triangle_violations == 0 for l in self.layers)
+        return all(l.triangle_violations == 0 for l in self.layers)
 
     def summary(self) -> str:
         if self.ok:
-            # no matrix has negative entries: MultiLayerMatrix refuses them
+            # MultiLayerMatrix refuses negative entries and a nonzero diagonal
             return "matrix clean: no negative entries, zero diagonal, triangle inequality holds"
         parts = []
-        if self.nonzero_diagonal:
-            parts.append(f"{self.nonzero_diagonal} nonzero diagonal entries")
         for rep in self.layers:
             if rep.triangle_violations:
                 parts.append(
@@ -405,26 +407,24 @@ class MatrixReport:
 
 
 def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
-    """Scan every layer for nonzero diagonal and triangle inequality
-    violations t(i,k) > t(i,j) + t(j,k), in O(n^2) memory per layer.
+    """Scan every layer for triangle inequality violations
+    t(i,k) > t(i,j) + t(j,k), in O(n^2) memory per layer.
 
     Diagnostic only: nothing is modified, and the solver accepts the matrix
-    whatever its report says. Negative entries need no scan here: a
-    MultiLayerMatrix never holds one.
+    whatever its report says. Negative entries and a nonzero diagonal need
+    no scan here: a MultiLayerMatrix never holds one.
     """
     arr = matrix.times
     n = matrix.n_nodes
-    diag = int((arr[:, range(n), range(n)] != 0).sum())
 
-    # excess(i, j, k) = (t(i,k) - t(i,j)) - t(j,k). Each layer is scanned with
-    # a zero diagonal, where a triple with a repeated node has excess <= 0 (no
-    # time is negative), so every positive excess is a violation. worst[i, k]
-    # is the largest excess over j, one intermediate node j at a time; only
-    # the rows i where it is positive are counted, one (n, n) slab each.
+    # excess(i, j, k) = (t(i,k) - t(i,j)) - t(j,k). On a zero diagonal a triple
+    # with a repeated node has excess <= 0 (no time is negative), so every
+    # positive excess is a violation. worst[i, k] is the largest excess over
+    # j, one intermediate node j at a time; only the rows i where it is
+    # positive are counted, one (n, n) slab each.
     layers = []
     for s in range(matrix.n_layers):
-        d = arr[s].copy()
-        np.fill_diagonal(d, 0)
+        d = arr[s]
         worst = np.subtract(d, d[:, :1]) - d[0]
         excess = np.empty_like(worst)
         for j in range(1, n):
@@ -437,7 +437,7 @@ def validate_matrix(matrix: MultiLayerMatrix) -> MatrixReport:
             excess -= d
             count += int(np.count_nonzero(excess > 0))
         layers.append(LayerReport(s, count, max(0, worst.max().item())))
-    return MatrixReport(diag, tuple(layers))
+    return MatrixReport(tuple(layers))
 
 
 # --- file formats -----------------------------------------------------------

@@ -113,7 +113,6 @@ def generate_synthetic(
     speed = profile.base_speed_kmh
     with np.errstate(over="ignore"):  # _seconds refuses what overflows
         base = _seconds(dist_km / speed * 3600.0, f"base speed {speed} km/h")
-    np.fill_diagonal(base, 0)
     off_diag = base[~np.eye(n, dtype=bool)]
     if (off_diag == 0).any():
         warnings.warn(
@@ -123,13 +122,11 @@ def generate_synthetic(
 
     rng = np.random.default_rng(profile.seed)
     jitter = rng.uniform(profile.jitter_range[0], profile.jitter_range[1], size=(n, n))
-    np.fill_diagonal(jitter, 1.0)
 
     layers = np.empty((n_layers, n, n), dtype=np.int64)
     for s in range(n_layers):
         mult = profile.layer_multiplier(s)
         with np.errstate(over="ignore", invalid="ignore"):  # inf x 0 on the diagonal
             scaled = _seconds(base * mult * jitter, f"layer {s} multiplier {mult}")
-        np.fill_diagonal(scaled, 0)
         layers[s] = min_plus_closure(scaled)
     return MultiLayerMatrix(times=layers, step_seconds=step_seconds)

@@ -16,18 +16,21 @@ def make_matrix(layers, step_seconds):
     return MultiLayerMatrix(times=np.asarray(layers, dtype=np.int64), step_seconds=step_seconds)
 
 
+def zero_diagonal(times):
+    """`times` with the diagonal of every layer set to 0 in place: a node is
+    0 s from itself, and a matrix refuses anything else."""
+    n = times.shape[-1]
+    times[..., range(n), range(n)] = 0
+    return times
+
+
 def constant_matrix(n_nodes, value, n_layers=1, step_seconds=3600):
     arr = np.full((n_layers, n_nodes, n_nodes), value, dtype=np.int64)
-    for s in range(n_layers):
-        np.fill_diagonal(arr[s], 0)
-    return MultiLayerMatrix(times=arr, step_seconds=step_seconds)
+    return MultiLayerMatrix(times=zero_diagonal(arr), step_seconds=step_seconds)
 
 
 def random_layers(rng, n_nodes, n_layers, low=60, high=3600):
-    arr = rng.integers(low, high, size=(n_layers, n_nodes, n_nodes))
-    for s in range(n_layers):
-        np.fill_diagonal(arr[s], 0)
-    return arr
+    return zero_diagonal(rng.integers(low, high, size=(n_layers, n_nodes, n_nodes)))
 
 
 def naive_departures(order, layers, step_seconds):

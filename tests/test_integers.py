@@ -9,7 +9,8 @@ high are refused with one InputError form that names the argument and its
 bounds; a numpy integer, low and high - 1 are accepted. Before
 the rule some of these were coerced or crashed: QuotaBudget took 2.5 and 0,
 from_matrix truncated a fractional epoch, travel_time read True as node 1
-and raised a bare TypeError on 1.0. Some accepted values (2**63 - 1
+and raised a bare TypeError on 1.0, and plan_fetch raised one from range()
+on 4.0 nodes, planned one layer for True and departures 1.5 s apart. Some accepted values (2**63 - 1
 nodes) would plan or solve for ever, so acceptance is checked by stopping
 the call with `_Accepted` just after the argument has passed the rule.
 """

@@ -11,9 +11,8 @@ the tour edits that keep a clock, and the move pricing, lockstep
 construction, speculative improvement rounds and exhaustive search built on
 them, against `naive_departures` and plain one-at-a-time loops on random
 tours, start slots and matrices: integer and fractional layers, departures
-far past the horizon, empty and one-client tours, values drawn from a narrow
-range so that many moves tie, and diagonals that are not zero (a walk must
-never read a self-arc).
+far past the horizon, empty and one-client tours, and values drawn from a
+narrow range so that many moves tie.
 """
 
 import warnings
@@ -42,7 +41,13 @@ from tdvrp.model import MultiLayerMatrix, SolverParams, _advance, average_matrix
 from tdvrp.oracle import _prefix_tree, _suffix_columns, brute_force_optimum
 from tdvrp.synth import TrafficProfile, generate_synthetic
 
-from conftest import constant_matrix, grid_instance, naive_departures, random_layers
+from conftest import (
+    constant_matrix,
+    grid_instance,
+    naive_departures,
+    random_layers,
+    zero_diagonal,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -56,8 +61,7 @@ def matrices(draw, min_nodes=2, max_nodes=8, integer=False):
     fractional = not integer and draw(st.booleans())
     high = draw(st.sampled_from([4, 2000]))  # 4: ties everywhere
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # the diagonal stays random: no tour walk may ever read it
-    times = rng.integers(0, high, size=(n_layers, n, n))
+    times = zero_diagonal(rng.integers(0, high, size=(n_layers, n, n)))
     if fractional:
         times = times / 3.0
     return MultiLayerMatrix(times=times, step_seconds=step)
@@ -106,7 +110,7 @@ def test_float_clocks_far_past_the_horizon_walk_on_the_last_layer():
     # must be clamped before it is cast to an integer index, or the cast
     # overflows (a RuntimeWarning, an error in this suite)
     rng = np.random.default_rng(12)
-    times = rng.integers(1, 2000, size=(3, 6, 6)) * 1e18 / 3.0
+    times = zero_diagonal(rng.integers(1, 2000, size=(3, 6, 6))) * 1e18 / 3.0
     matrix = MultiLayerMatrix(times=times, step_seconds=1)
     order = (3, 1, 5, 2, 4)
     departures, total = _naive(order, matrix)
@@ -148,7 +152,8 @@ def test_layer_runs_match_the_reference_walk(data):
     high = data.draw(st.sampled_from([1, 4, 2000]))  # 1: every arc takes 0 s
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n = clients + 2  # one node more than the tours visit: a matrix has >= 2
-    matrix = MultiLayerMatrix(times=rng.integers(0, high, size=(n_layers, n, n)), step_seconds=step)
+    times = zero_diagonal(rng.integers(0, high, size=(n_layers, n, n)))
+    matrix = MultiLayerMatrix(times=times, step_seconds=step)
     orders = [
         rng.permutation(np.arange(1, n))[:clients].tolist()
         for _ in range(data.draw(st.integers(1, 4)))
@@ -189,7 +194,7 @@ def test_layer_runs_refuse_sums_that_would_wrap():
     rng = np.random.default_rng(3)
     paths = np.array([[0, *rng.permutation(np.arange(1, 41)), 0] for _ in range(30)])
     for scale, fits in ((10**14, True), (10**15, True), (10**16, False)):
-        times = rng.integers(scale // 2, scale, size=(8, 41, 41))
+        times = zero_diagonal(rng.integers(scale // 2, scale, size=(8, 41, 41)))
         matrix = MultiLayerMatrix(times=times, step_seconds=3600)
         if fits:
             got = _layer_runs(_arcs(paths, matrix), *_lanes_from_the_depot(30), matrix)
@@ -214,7 +219,8 @@ def test_layer_runs_on_a_horizon_far_past_the_tours():
     # from every slot of every tour, at 0 s and at the tours' own clocks,
     # reach the depot many layers apart
     rng = np.random.default_rng(48)
-    matrix = MultiLayerMatrix(times=rng.integers(600, 1900, size=(48, 21, 21)), step_seconds=1800)
+    times = zero_diagonal(rng.integers(600, 1900, size=(48, 21, 21)))
+    matrix = MultiLayerMatrix(times=times, step_seconds=1800)
     paths = np.array([[0, *rng.permutation(np.arange(1, 21)), 0] for _ in range(3)])
     tour, pos = np.meshgrid(np.arange(3), np.arange(22), indexing="ij")
     clocks = [[*departures, total] for departures, total in (_naive(p[1:-1], matrix) for p in paths)]
@@ -249,7 +255,7 @@ LIVE_LANES = {
 @pytest.mark.parametrize("case", LIVE_LANES)
 def test_layer_runs_skip_only_lanes_that_start_past_the_layer(case):
     rng = np.random.default_rng(26)
-    matrix = MultiLayerMatrix(times=rng.integers(200, 500, size=(6, 10, 10)), step_seconds=600)
+    matrix = MultiLayerMatrix(times=random_layers(rng, 10, 6, 200, 500), step_seconds=600)
     paths = np.array([[0, *rng.permutation(np.arange(1, 10)), 0] for _ in range(2)])
     tour, pos, k = (np.array(column) for column in zip(*LIVE_LANES[case]))
     expected = [_finish(paths[t].tolist(), p, start, matrix) for t, p, start in LIVE_LANES[case]]
@@ -356,12 +362,9 @@ def test_deletion_savings_match_full_reevaluation(data):
 @SETTINGS
 @given(data=st.data())
 def test_deleting_the_only_client_leaves_a_free_empty_tour(data):
+    # the rejoin drives the arc 0->0, which takes 0 s: it saves the whole cost
     matrix = data.draw(matrices())
-    times = matrix.times.copy()
-    n = matrix.n_nodes
-    times[:, range(n), range(n)] = 10**6  # a self-arc read would add this
-    matrix = MultiLayerMatrix(times=times, step_seconds=matrix.step_seconds)
-    clients = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+    clients = data.draw(st.lists(st.integers(1, matrix.n_nodes - 1), min_size=1, max_size=4))
     states = [_state((node,), matrix) for node in clients]
     savings = _deletion_savings([p for p, _ in states], [c for _, c in states], matrix)
     assert savings.shape == (1, len(clients))
@@ -466,6 +469,7 @@ def bounded_matrices(draw, max_nodes=9):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     times = rng.integers(0, high, size=(n_layers, n, n))
     times[rng.random(times.shape) < draw(st.sampled_from([0, 0.3]))] = 0
+    zero_diagonal(times)
     for s in range(1, n_layers):
         if rng.random() < 0.3:
             times[s] = times[rng.integers(0, s)]
@@ -691,7 +695,7 @@ def test_prefix_tree_rebuilds_every_suffix_column(width):
 
 
 def _nine_nodes(n_layers, step, high, fractional, seed):
-    times = np.random.default_rng(seed).integers(0, high, size=(n_layers, 9, 9))
+    times = zero_diagonal(np.random.default_rng(seed).integers(0, high, size=(n_layers, 9, 9)))
     return MultiLayerMatrix(times=times / 3.0 if fractional else times, step_seconds=step)
 
 
@@ -723,7 +727,7 @@ def test_oracle_matches_plain_scan(matrix):
 def test_oracle_spanning_several_blocks_matches_plain_scan():
     # 8 clients: one block of 5,040 suffixes behind each of 8 prefixes
     rng = np.random.default_rng(5)
-    times = rng.integers(50, 900, size=(3, 9, 9))
+    times = random_layers(rng, 9, 3, 50, 900)
     for matrix in (MultiLayerMatrix(times=times, step_seconds=1200),
                    average_matrix(MultiLayerMatrix(times=times, step_seconds=1200))):
         route, sched = brute_force_optimum(grid_instance(9), matrix)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tdvrp.cli import main
 from tdvrp.errors import InputError, RouteError
 from tdvrp.fetch import RecordedBackend, execute_fetch, plan_fetch
 from tdvrp.grasp import solve
@@ -23,6 +24,7 @@ from tdvrp.model import (
     layer_index,
     matrix_from_json,
     matrix_to_json,
+    save_instance,
     travel_time,
     validate_matrix,
 )
@@ -35,6 +37,7 @@ from conftest import (
     naive_departures,
     random_layers,
     triangle_violations_scan,
+    zero_diagonal,
 )
 
 
@@ -101,7 +104,8 @@ def test_layer_index_and_travel_time_take_only_finite_real_departures(k, message
 
 def test_layer_index_takes_a_numpy_float():
     # layer s drives every arc in 100 * (s + 1) s
-    m = MultiLayerMatrix(times=np.full((3, 3, 3), 100) * np.arange(1, 4)[:, None, None], step_seconds=60)
+    times = zero_diagonal(np.full((3, 3, 3), 100) * np.arange(1, 4)[:, None, None])
+    m = MultiLayerMatrix(times=times, step_seconds=60)
     assert layer_index(np.float64(61.5), m) == 1
     assert travel_time(0, 1, np.float64(61.5), m) == 200
 
@@ -296,15 +300,11 @@ def test_validate_matches_exhaustive_scan(rng):
     data=st.data(),
     n=st.integers(2, 9),
     dtype=st.sampled_from([np.int64, np.float64]),
-    zero_diagonal=st.booleans(),
 )
-def test_validate_matches_exhaustive_scan_on_any_layer(data, n, dtype, zero_diagonal):
+def test_validate_matches_exhaustive_scan_on_any_layer(data, n, dtype):
     cells = st.integers(0, 50) if dtype is np.int64 else st.floats(0, 100)
-    arr = data.draw(arrays(dtype, (2, n, n), elements=cells))
-    if zero_diagonal:
-        arr[:, range(n), range(n)] = 0
+    arr = zero_diagonal(data.draw(arrays(dtype, (2, n, n), elements=cells)))
     report = validate_matrix(MultiLayerMatrix(times=arr, step_seconds=3600))
-    assert report.nonzero_diagonal == np.count_nonzero(arr[:, range(n), range(n)])
     for s, layer in enumerate(report.layers):
         got = (layer.triangle_violations, layer.worst_violation)
         assert got == triangle_violations_scan(arr[s].tolist())
@@ -317,13 +317,13 @@ def test_validate_in_row_blocks_matches_exhaustive_scan(rng, block_rows):
     # lies only in that block, so the exact count runs on those rows alone.
     for _ in range(5):
         n = int(rng.integers(6, 10))
-        layers = rng.integers(10, 16, size=(2, n, n))  # diagonals left nonzero
+        layers = zero_diagonal(rng.integers(10, 16, size=(2, n, n)))
         i0 = int(rng.integers(0, n - block_rows + 1))
         for s in range(2):
             for i in range(i0, i0 + block_rows):
                 k = int(rng.choice([c for c in range(n) if c != i]))
                 layers[s, i, k] = rng.integers(31, 60)
-        for arr in (layers, layers + 0.5):
+        for arr in (layers, zero_diagonal(layers + 0.5)):
             report = validate_matrix(MultiLayerMatrix(times=arr, step_seconds=3600))
             for s, layer in enumerate(report.layers):
                 assert layer.triangle_violations > 0
@@ -333,7 +333,7 @@ def test_validate_in_row_blocks_matches_exhaustive_scan(rng, block_rows):
 
 def test_validate_holds_no_cube_of_a_layer():
     n = 150
-    times = np.random.default_rng(3).integers(0, 1000, size=(1, n, n))
+    times = zero_diagonal(np.random.default_rng(3).integers(0, 1000, size=(1, n, n)))
     matrix = MultiLayerMatrix(times=times, step_seconds=60)
     tracemalloc.start()
     try:
@@ -346,13 +346,33 @@ def test_validate_holds_no_cube_of_a_layer():
     assert peak < n**3 * 8 / 10
 
 
-def test_validate_flags_nonzero_diagonal():
-    arr = np.full((1, 3, 3), 10, dtype=np.int64)
-    m = make_matrix(arr, 3600)
-    report = validate_matrix(m)
-    assert report.nonzero_diagonal == 3
-    # every triangle through a zeroed diagonal holds: 10 <= 10 + 10
-    assert report.summary() == "3 nonzero diagonal entries"
+@pytest.mark.parametrize("nested", [False, True], ids=["ndarray", "nested-list"])
+@pytest.mark.parametrize("dtype, shown", [(np.int64, "3"), (np.float64, "3.0")])
+def test_matrix_refuses_a_nonzero_diagonal(nested, dtype, shown):
+    times = zero_diagonal(np.full((2, 3, 3), 600, dtype=dtype))
+    times[0, 1, 1] = 3
+    with pytest.raises(InputError) as info:
+        MultiLayerMatrix(times=times.tolist() if nested else times, step_seconds=60)
+    assert str(info.value) == f"a node's travel time to itself must be 0; times[0][1][1] = {shown}"
+    # a negative or NaN entry is named before any nonzero diagonal entry
+    times[1, 2, 0] = -1 if dtype is np.int64 else np.nan
+    with pytest.raises(InputError, match=r"must be >= 0; times\[1\]\[2\]\[0\] = "):
+        MultiLayerMatrix(times=times.tolist() if nested else times, step_seconds=60)
+
+
+def test_matrix_file_with_a_nonzero_diagonal_is_refused(tmp_path, capsys):
+    text = _matrix_document([[[0, 5], [5, 0]], [[0, 5], [5, 7]]])
+    message = "a node's travel time to itself must be 0; times[1][1][1] = 7"
+    with pytest.raises(InputError) as info:
+        matrix_from_json(text)
+    assert str(info.value) == message
+    matrix, instance = tmp_path / "matrix.json", tmp_path / "instance.json"
+    matrix.write_text(text)
+    save_instance(grid_instance(2), instance)
+    for command in (["solve"], ["compare", "--seeds", "1"]):
+        argv = [*command, "--instance", str(instance), "--matrix", str(matrix)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
 
 # --- types and file formats --------------------------------------------------

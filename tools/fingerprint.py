@@ -84,6 +84,7 @@ def cases():
         n = clients + 1
         high, layers = int(draw.choice([4, 2000])), int(draw.integers(1, 5))
         times = draw.integers(0, high, size=(layers, n, n))
+        times[:, range(n), range(n)] = 0  # a node is 0 s from itself
         if draw.random() < 0.5:
             times = times / 3.0
         matrix = MultiLayerMatrix(times=times, step_seconds=int(draw.choice([1, 7, 150, 900, 3600])))
@@ -124,6 +125,7 @@ def oracle_cases():
     ]):
         n = clients + 1
         times = draw.integers(0, 2000, size=(layers, n, n))
+        times[:, range(n), range(n)] = 0
         matrix = MultiLayerMatrix(times=times / 3.0 if kind == "fractional" else times,
                                   step_seconds=step)
         if kind == "averaged":
