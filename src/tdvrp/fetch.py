@@ -21,11 +21,15 @@ from_file reads its recording on the first query, never on a warm rerun.
 Elements are held in a dense store keyed by index: per departure epoch, an
 (n, n) int64 value layer and a boolean "known" mask. The cache file keeps its
 JSON-lines format (one {"o", "d", "t", "s"} record of four JSON integers per
-line). Lines exactly as execute_fetch writes them are read as bytes in one
-numpy pass; any other file is decoded and parsed one line at a time, which
-names a bad line. The (o, d, t, s) rows are scattered into the store, a
-request (its indices are ranges) is skipped when its tile, a basic slice,
-is all known, and the matrix and the list of holes come from the arrays.
+line). execute_fetch writes a request's fresh elements one origin row at a
+time, each row from one template that holds its "o" and "t", and flushes
+them before the next query. Lines exactly as it writes them are read as
+bytes in one numpy pass, which checks the skeleton, the numbers and their
+widths, and where each number stands; any other file is decoded and parsed
+one line at a time, which names a bad line. The (o, d, t, s) rows are
+scattered into the store, a request (its indices are ranges) is skipped
+when its tile, a basic slice, is all known, and the matrix and the list of
+holes come from the arrays.
 
 Quota arithmetic counts full N*N rectangles per layer (the provider bills the
 whole cross product, self-pairs included); the useful element count skips
@@ -41,6 +45,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import ceil, isqrt
 
 import numpy as np
@@ -358,16 +363,22 @@ def _provider_grid(rows, n_rows: int, n_cols: int):
 # Every record ends with a newline, so an unterminated last line is a write
 # cut short by a crash: readers skip it and the next fetch cuts it off.
 #
-# _RECORD is the one definition of a line as the package writes it. A file
-# of such lines only is read in one pass (_parse_written); any other file,
-# with blank lines, other spacing or key order, or a bad line, is parsed one
-# line at a time by json.loads (_parse_lines), the only path that names a bad
-# line. A new record kind needs its own one-pass form, or every file holding
-# one takes that far slower path.
+# _RECORD is the one definition of a line as the package writes it; _records
+# fills it an origin row at a time, from a template that holds the row's "o"
+# and "t". A file of such lines only is read in one pass (_parse_written),
+# which finds each value where _RECORD puts it by the widths of the values
+# before it; any other file, with blank lines, other spacing or key order, or
+# a bad line, is parsed one line at a time by json.loads (_parse_lines), the
+# only path that names a bad line. A new record kind needs its own one-pass
+# form, or every file holding one takes that far slower path.
 
 _RECORD = '{"o": %d, "d": %d, "t": %d, "s": %d}\n'
+_ROW = _RECORD.replace("%d", "%s")  # % (o, "%d", t, "%d") gives an origin row's template
 _HOLE = -1
-_SKELETON = _RECORD.replace("%d", "").encode()
+_PIECES = _RECORD.encode().split(b"%d")  # the bytes around the four values
+_SKELETON = b"".join(_PIECES)
+# bytes from the end of one value to the start of the next, a line's end counted before "o"
+_GAPS = np.array([len(_PIECES[-1] + _PIECES[0]), *map(len, _PIECES[1:-1])])
 _BLANK_SKELETON = bytes.maketrans(bytes(set(_SKELETON)), b" " * len(set(_SKELETON)))
 _MINUS_NOT_BEFORE_DIGIT = re.compile(rb"-(?![0-9])")
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
@@ -398,22 +409,30 @@ def _parse_written(data: bytes):
     """The rows of `data` as an (m, 4) array if it is m lines of _RECORD,
     each value as %d writes it, else None.
 
-    With digits and "-" deleted the bytes must be the skeleton m times. No
-    value may be empty and every "-" must be followed by a digit, so each
-    value is one number of the form -?[0-9]+ and the numbers sit nowhere
-    else; with the skeleton blanked, numpy must then read exactly 4m of
-    them. Their %d widths must add up to the digits and signs of the bytes,
-    which rules out leading zeros and "-0", and none may be an int64 limit,
-    which is what numpy makes of an overflow.
+    With digits and "-" deleted the bytes must be the skeleton m times, so
+    the rest stands in runs between skeleton bytes. Every "-" must be
+    followed by a digit, so with the skeleton blanked numpy reads each run
+    as one number or raises ("1-2" raises; a run "-" alone it would join to
+    the next, reading "- 12" as -12). It must read exactly 4m numbers, none
+    an int64 limit, which is what numpy makes of an overflow. A run is never
+    narrower than its number's %d, and the %d widths must add up to the
+    digits and signs of the bytes, so each run is its number as %d writes
+    it: no leading zero, no "-0".
+
+    From the widths follows where `_RECORD % row` puts each value, and there
+    its first byte must be a digit or "-" and its last byte a digit. That
+    puts each run at its value's place. Were run j to start before it, the
+    value's last byte would lie past run j, in a later run, so run j + 1
+    would start before its place too, and so on to the last run, past which
+    there is no digit. Were run j to start after it, the value's first byte
+    would lie in an earlier run, so run j - 1 would end, and start, after its
+    place, and so back to the first run, before which there is none. Lines
+    as _RECORD writes them pass every check.
     """
     m = data.count(b"\n")
     if data.translate(None, b"0123456789-") != _SKELETON * m:
         return None
-    # an empty value leaves the space of ": " right before "," or "}". The
-    # skeleton and the count of numbers both pass it when a digit outside the
-    # slots makes up for it, as in {"o": , "d": 0, "t": 0, "s": 0}5, so these
-    # scans stay; one regex, or scans for b": ," and b": }", saves < 4 ms on 5.6 MB
-    if b" ," in data or b" }" in data or _MINUS_NOT_BEFORE_DIGIT.search(data):
+    if _MINUS_NOT_BEFORE_DIGIT.search(data):
         return None
     try:
         # numpy raises on text it cannot read to the end
@@ -423,9 +442,21 @@ def _parse_written(data: bytes):
     if len(values) != 4 * m or _INT64.min in values or _INT64.max in values:
         return None
     # a value has one digit more than the powers of ten it reaches, and a sign if negative
-    width = np.searchsorted(_POWERS_OF_TEN, np.abs(values), side="right").sum()
-    width += len(values) + np.count_nonzero(values < 0)
-    if width != len(data) - len(_SKELETON) * m:
+    width = np.searchsorted(_POWERS_OF_TEN, np.abs(values), side="right")
+    width += 1
+    width += values < 0
+    if width.sum() != len(data) - len(_SKELETON) * m:
+        return None
+    # where each value's last byte, then its first, stands: one array, reused in place,
+    # since each array as long as the values adds 8 bytes a value to the peak memory
+    at = (width.reshape(-1, 4) + _GAPS).ravel()
+    np.cumsum(at, out=at)
+    at -= len(_PIECES[-1]) + 1
+    data_bytes = np.frombuffer(data, dtype=np.uint8)
+    if data_bytes[at].tobytes().translate(None, b"0123456789"):
+        return None
+    at -= width - 1
+    if data_bytes[at].tobytes().translate(None, b"0123456789-"):
         return None
     return values.reshape(-1, 4)
 
@@ -454,6 +485,17 @@ def _parse_lines(lines, path) -> np.ndarray:
         except (KeyError, TypeError, ValueError, InputError) as exc:
             raise InputError(f"bad cache line {lineno} in {path}: {exc}") from exc
     return rows[:m]
+
+
+def _records(req: FetchRequest, got: np.ndarray, fresh: np.ndarray) -> str:
+    """The cache lines of a request's fresh cells, one origin row at a time:
+    the row's template holds its "o" and "t", and one % fills it from the
+    row's interleaved (d, s) pairs."""
+    lines = []
+    for o, seconds, keep in zip(req.origin_indices, got.tolist(), fresh.tolist()):
+        pairs = (*chain.from_iterable(compress(zip(req.destination_indices, seconds), keep)),)
+        lines.append(_ROW % (o, "%d", req.departure_time, "%d") * (len(pairs) // 2) % pairs)
+    return "".join(lines)
 
 
 def _cut_torn_record(path) -> None:
@@ -523,10 +565,7 @@ def execute_fetch(
             np.copyto(values[req.layer][tile], got, where=fresh)
             known_view[...] = True
             if cache_fh is not None:
-                a, b = np.nonzero(fresh)
-                cells = np.column_stack([a + o.start, b + d.start, got[a, b]])
-                record = _RECORD.replace('"t": %d', f'"t": {req.departure_time}')
-                cache_fh.write(record * len(a) % tuple(cells.ravel().tolist()))
+                cache_fh.write(_records(req, got, fresh))
                 cache_fh.flush()
     finally:
         if cache_fh is not None:

@@ -103,29 +103,6 @@ def test_plan_rejects_degenerate_sizes():
         plan_fetch(4, 0, start_epoch=START)
 
 
-@pytest.mark.parametrize(
-    "arg, value",
-    [
-        # 1.5 once planned departures at START + 1.5, which the cache then refused
-        ("step_seconds", 1.5),
-        ("start_epoch", START + 0.5),
-        ("elements_per_request_limit", True),
-        ("daily_quota", "100"),
-        # 4.0 and 2.0 once raised a bare TypeError from range(), and True planned one layer
-        ("n_nodes", 4.0),
-        ("n_layers", 2.0),
-        ("n_layers", True),
-    ],
-)
-def test_plan_refuses_integer_arguments_that_are_not_integers(arg, value):
-    with pytest.raises(InputError) as info:
-        plan_fetch(**{"n_nodes": 4, "n_layers": 2, "start_epoch": START, arg: value})
-    # two layers: the step stays below 2**63 // 2, the start below 2**63 - 7200
-    low, high = {"n_nodes": (2, "2**63"), "step_seconds": (1, "2**62"),
-                 "start_epoch": (0, 2**63 - 7200)}.get(arg, (1, "2**63"))
-    assert str(info.value) == f"{arg} must be an integer in [{low}, {high}), got {value!r}"
-
-
 # --- execution -------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ for a valid or bad variant the pass must leave to the JSON parser.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,17 @@ VARIANTS = {
     "two records on one line": lambda *row: (_ANY % row)[:-1] + ", " + _ANY % row,
     "digit after the record": lambda *row: (_ANY % row)[:-1] + "5\n",
     "empty value, digit after the record": lambda o, d, t, s: (_ANY % ("", d, t, s))[:-1] + "5\n",
+    # a value a few bytes early or late: the one pass finds it by the last
+    # byte, or the first, of the value where _RECORD puts it
+    "value before its colon": lambda o, d, t, s: '{"o": %d, "d": %d, "t": %d, "s"%d: }\n' % (
+        o, d, t, 100 + abs(s) % 900),
+    "value after the closing brace": lambda o, d, t, s: '{"o": %d, "d": %d, "t": %d, "s": }%d\n' % (
+        o, d, t, 10 + abs(s) % 90),
+    # numpy reads "- 12" as -12: only the rule that a "-" comes before a digit
+    # keeps these from reading as a line of four values
+    "lone minus, digit after the record": lambda o, d, t, s: (_ANY % ("-", d, t, s))[:-1] + "5\n",
+    "lone minus, digits in the next gap":
+        lambda o, d, t, s: (_ANY % ("-", d, t, s)).replace(",", ",%d" % (10 + abs(o) % 90), 1),
 }
 
 int64s = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, 2**63 - 1, -(2**63)])
@@ -359,6 +371,46 @@ def test_one_unusual_line_reads_as_line_by_line_reading(tmp_path_factory, varian
     path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
     assert_read_as_reference(path, "".join(lines))
+
+
+@st.composite
+def mutated_caches(draw):
+    """Lines as execute_fetch writes them, then one to three edits: a digit or
+    "-" inserted, a byte deleted, two neighbours swapped, or a run of digits
+    and "-" moved within its line."""
+    values = st.integers(-99, 999) | inner_int64s
+    rows = draw(st.lists(st.tuples(*[values] * 4), min_size=1, max_size=6))
+    text = "".join(fetch._RECORD % row for row in rows)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["insert", "delete", "swap", "move"]))
+        i = draw(st.integers(0, len(text) - 1))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from("0123456789-")) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1:]
+        elif edit == "swap" and i + 1 < len(text):
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
+        elif edit == "move":
+            runs = [m.span() for m in re.finditer(r"[0-9-]+", text)]
+            if not runs:
+                continue
+            a, b = draw(st.sampled_from(runs))
+            a = draw(st.integers(a, b - 1))
+            b = draw(st.integers(a + 1, b))
+            run, text = text[a:b], text[:a] + text[b:]
+            line_start = text.rfind("\n", 0, a) + 1
+            line_end = text.find("\n", a)
+            j = draw(st.integers(line_start, len(text) if line_end < 0 else line_end))
+            text = text[:j] + run + text[j:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_caches())
+def test_edited_written_lines_read_as_line_by_line_reading(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert_read_as_reference(path, text)
 
 
 def test_lines_execute_fetch_writes_are_read_in_one_pass(tmp_path, monkeypatch):
