@@ -384,6 +384,9 @@ _MINUS_NOT_BEFORE_DIGIT = re.compile(rb"-(?![0-9])")
 _POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
 _INT64 = np.iinfo(np.int64)
 _ODTS = operator.itemgetter("o", "d", "t", "s")
+# whether a file is all written lines holds line by line, so the one pass reads it in
+# chunks: its temporaries, several bytes a byte read, then stay this small
+_CHUNK_BYTES = 2**18
 
 
 def read_cache_file(path) -> np.ndarray:
@@ -391,17 +394,25 @@ def read_cache_file(path) -> np.ndarray:
 
     Each whole line that is not blank must hold one record of four JSON
     integers. A file whose every line is as execute_fetch writes it is read
-    in one pass over its bytes; any other is decoded and parsed one line at a
-    time, which names the first bad line. A file that cannot be read, or that
-    is not UTF-8 up to its last newline, is an InputError.
+    in one pass over its bytes, _CHUNK_BYTES at a time cut after a newline,
+    into one array; any other is decoded and parsed one line at a time, which
+    names the first bad line. A file that cannot be read, or that is not
+    UTF-8 up to its last newline, is an InputError.
     """
     data = _read_bytes(path)
     end = data.rfind(b"\n") + 1
     if end < len(data):
         data = data[:end]  # what follows the last newline is a torn record
-    rows = _parse_written(data)
-    if rows is None:
-        rows = _parse_lines(_decode(data, path).split("\n")[:-1], path)
+    rows = np.empty((data.count(b"\n"), 4), dtype=np.int64)
+    at = m = 0
+    while at < len(data):
+        # a line longer than a chunk is a chunk of its own
+        cut = data.rfind(b"\n", at, at + _CHUNK_BYTES) + 1 or data.find(b"\n", at) + 1
+        chunk = _parse_written(data[at:cut])
+        if chunk is None:
+            return _parse_lines(_decode(data, path).split("\n")[:-1], path)
+        rows[m:m + len(chunk)] = chunk
+        at, m = cut, m + len(chunk)
     return rows
 
 

@@ -12,6 +12,7 @@ for a valid or bad variant the pass must leave to the JSON parser.
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,54 @@ def test_lines_execute_fetch_writes_are_read_in_one_pass(tmp_path, monkeypatch):
     path.write_text("\n" + want, encoding="utf-8")
     assert read_cache_file(path).tolist() == [list(r) for r in reference_rows(want)]
     assert calls
+
+
+def _written_cache(tmp_path, rows):
+    text = "".join(fetch._RECORD % row for row in rows)
+    path = tmp_path / "cache.jsonl"
+    path.write_text(text, encoding="utf-8")
+    return path, text
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 46, 47, 65_536])
+def test_written_lines_read_in_chunks_give_the_whole_file_rows(tmp_path, monkeypatch, chunk_bytes):
+    # lines of 42 to 48 bytes, most of 46 or 47, so a chunk of 46 or 47 bytes
+    # ends inside a line or just past its newline; chunks of 1 byte are one line each
+    rows = [(i % 101, (7 * i) % 101, START + STEP * (i % 3), (-1) ** i * (i % 997))
+            for i in range(3000)]
+    path, text = _written_cache(tmp_path, rows)
+    calls = []
+    monkeypatch.setattr(fetch, "_parse_lines", lambda lines, path: calls.append(lines))
+    monkeypatch.setattr(fetch, "_CHUNK_BYTES", chunk_bytes)
+    got = read_cache_file(path)
+    assert got.dtype == np.int64 and got.tolist() == [list(r) for r in rows]
+    assert calls == []
+
+
+def test_a_bad_line_in_a_later_chunk_is_named_by_its_file_line(tmp_path, monkeypatch):
+    lines = [fetch._RECORD % (i % 5, (i + 1) % 5, START, i) for i in range(5000)]
+    lines[3999] = '{"o": 1, "d": 2, "t": 5, "s": 1.5}\n'
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    monkeypatch.setattr(fetch, "_CHUNK_BYTES", 4096)
+    with pytest.raises(InputError, match="bad cache line 4000 in"):
+        read_cache_file(path)
+
+
+def test_reading_a_written_cache_holds_little_beyond_its_bytes_and_rows(tmp_path):
+    # 101 nodes x 12 layers, 5.4 MiB: the reader holds the file's bytes and the rows,
+    # and a chunk's temporaries (the whole file's were 11 MiB)
+    rows = [(o, d, START + STEP * layer, 60 + (7 * o + 13 * d + layer) % 3000)
+            for layer in range(12) for o in range(101) for d in range(101) if o != d]
+    path, text = _written_cache(tmp_path, rows)
+    tracemalloc.start()
+    try:
+        got = read_cache_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (len(rows), 4) and got[-1].tolist() == list(rows[-1])
+    assert peak < len(text) + got.nbytes + 2 * 2**20
 
 
 def test_a_compact_recording_fetches_the_bytes_of_the_canonical_one(tmp_path, monkeypatch):

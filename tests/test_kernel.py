@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tdvrp import grasp
+from tdvrp import grasp, oracle
 from tdvrp.errors import InputError
 from tdvrp.grasp import (
     MAX_BATCH,
@@ -38,7 +38,7 @@ from tdvrp.grasp import (
 )
 from tdvrp.instances import random_instance
 from tdvrp.model import MultiLayerMatrix, SolverParams, _advance, average_matrix
-from tdvrp.oracle import _prefix_tree, _suffix_columns, brute_force_optimum
+from tdvrp.oracle import brute_force_optimum
 from tdvrp.synth import TrafficProfile, generate_synthetic
 
 from conftest import (
@@ -679,24 +679,21 @@ def _plain_scan(matrix):
     return best, _naive(best, matrix)
 
 
-@pytest.mark.parametrize("width", range(1, 8))
-def test_prefix_tree_rebuilds_every_suffix_column(width):
-    # index width is the block's start as an origin and the depot as a
-    # destination; every state extends its parent's path by one arc
-    paths = [[width]]
-    for parent, pair in _prefix_tree(width):
-        origin, end = np.divmod(pair, width + 1)
-        assert [paths[p][-1] for p in parent] == origin.tolist()
-        paths = [paths[p] + [b] for p, b in zip(parent.tolist(), end.tolist())]
-    assert {path[-1] for path in paths} == {width}
-    assert np.array_equal(np.array([path[1:-1] for path in paths]).T, _suffix_columns(width))
-    if width == 7:
-        assert sum(len(pair) for _, pair in _prefix_tree(width)) == 18_739
-
-
 def _nine_nodes(n_layers, step, high, fractional, seed):
     times = zero_diagonal(np.random.default_rng(seed).integers(0, high, size=(n_layers, 9, 9)))
     return MultiLayerMatrix(times=times / 3.0 if fractional else times, step_seconds=step)
+
+
+def _tied(n, seed, average):
+    """Entries of 1-3 s, so that many tours tie, made fractional: averaged
+    over 3 layers x 900 s, or tenths of a second on 2 layers x 150 s. On
+    these a search that prunes with no margin loses the first optimum, or
+    every tour, to sums of bounds that round past the arcs they bound."""
+    shape = (3 if average else 2, n, n)
+    times = zero_diagonal(np.random.default_rng(seed).integers(1, 4, size=shape))
+    if average:
+        return average_matrix(MultiLayerMatrix(times=times, step_seconds=900))
+    return MultiLayerMatrix(times=times / 10.0, step_seconds=150)
 
 
 @settings(max_examples=5, deadline=None)
@@ -705,8 +702,9 @@ def _nine_nodes(n_layers, step, high, fractional, seed):
 @example(matrix=_nine_nodes(2, 150, 2000, True, 2))  # fractional
 @example(matrix=_nine_nodes(1, 3600, 2000, False, 3))  # one layer
 @example(matrix=_nine_nodes(4, 1, 2000, False, 4))  # every departure past the horizon
+@example(matrix=_tied(9, 8, average=False))  # fractional ties
 def test_oracle_across_blocks_matches_plain_scan(matrix):
-    # 8 clients: 8 blocks of 7 behind a 1-client prefix
+    # 8 clients: the bound prunes at every level above the last three clients
     route, sched = brute_force_optimum(grid_instance(9), matrix)
     order, (departures, total) = _plain_scan(matrix)
     assert route.order == order
@@ -716,6 +714,10 @@ def test_oracle_across_blocks_matches_plain_scan(matrix):
 
 @settings(max_examples=40, deadline=None)
 @given(matrix=matrices(max_nodes=8))
+@example(matrix=_tied(7, 10, average=False))  # fractional ties
+@example(matrix=_tied(6, 4, average=False))
+@example(matrix=_tied(7, 84, average=True))  # averaged ties
+@example(matrix=_tied(6, 1, average=True))
 def test_oracle_matches_plain_scan(matrix):
     route, sched = brute_force_optimum(grid_instance(matrix.n_nodes), matrix)
     order, (departures, total) = _plain_scan(matrix)
@@ -725,7 +727,7 @@ def test_oracle_matches_plain_scan(matrix):
 
 
 def test_oracle_spanning_several_blocks_matches_plain_scan():
-    # 8 clients: one block of 5,040 suffixes behind each of 8 prefixes
+    # 8 clients, integer and averaged
     rng = np.random.default_rng(5)
     times = random_layers(rng, 9, 3, 50, 900)
     for matrix in (MultiLayerMatrix(times=times, step_seconds=1200),
@@ -742,3 +744,13 @@ def test_oracle_ties_go_to_the_lexicographically_smallest_tour():
                        average_matrix(constant_matrix(n, 701, n_layers=3))):
             route, _ = brute_force_optimum(grid_instance(n), matrix)
             assert route.order == tuple(range(1, n))
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_a_tiny_chunk_gives_the_same_tours(monkeypatch, chunk):
+    # each level hands its states down CHUNK at a time, in lexicographic order
+    cases = [_tied(7, 10, average=False), _tied(7, 84, average=True),
+             _nine_nodes(3, 900, 4, False, 1), constant_matrix(8, 500, 2, step_seconds=900)]
+    found = [brute_force_optimum(grid_instance(m.n_nodes), m) for m in cases]
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
+    assert [brute_force_optimum(grid_instance(m.n_nodes), m) for m in cases] == found
