@@ -9,12 +9,10 @@ first-deleted-first-reinserted at one of their k_ins cheapest slots, and keep
 the round's result only if it beats the best tour so far.
 
 Both phases keep a tour as one state: the closed path [0, *order, 0] and its
-clock, in which clock[j] is the time at path[j] and clock[-1] the tour's
-cost. A move at slot p leaves the clock up to p unchanged, so each edit
-re-times the tour only from the edited slot on, with the scalar walk
-`model._arrivals`. Construction keeps each trial's state as two lists and
-edits them with `_insert`; improvement keeps a batch of rounds as two
-(rounds x size) arrays and edits each round's row in place.
+clock, two lists in which clock[j] is the time at path[j] and clock[-1] the
+tour's cost. Two edits change it, `_insert` and `_delete`; a move at slot p
+leaves the clock up to p unchanged, so each edit re-times the tour only from
+the edited slot on, with the scalar walk `model._arrivals`.
 
 Every candidate is priced on the whole tour it would make: in a
 time-dependent matrix an insertion or deletion shifts all downstream
@@ -62,9 +60,7 @@ was deleted. So every draw is made up front in one call, laid out round by
 round (deletions, then reinsertions), and a batch of up to MAX_BATCH
 rounds then runs from the same incumbent in lockstep, one walk per move for
 all of them (the first deletion, on the shared incumbent, is priced once).
-The batch's tours stay arrays from one move to the next: each move's walk
-reads them as they are, and each round's edit shifts its own row. The
-first round of the batch that beats the incumbent is kept and the rounds
+The first round of the batch that beats the incumbent is kept and the rounds
 after it are dropped; the next batch starts at the round after the kept
 one, with its draws unchanged. The first batch is one round; a batch
 keeps its size after an acceptance and doubles after a batch that keeps
@@ -132,6 +128,13 @@ def _insert(path, clock, p, node, matrix: MultiLayerMatrix) -> None:
     and re-time the tour from that slot on."""
     path.insert(p + 1, node)
     clock[p + 1 :] = _arrivals(clock[p], path[p], path[p + 1 :], matrix)
+
+
+def _delete(path, clock, i, matrix: MultiLayerMatrix) -> None:
+    """Take the client path[i] out of the tour and re-time the tour from the
+    slot it leaves."""
+    del path[i]
+    clock[i:] = _arrivals(clock[i - 1], path[i - 1], path[i:], matrix)
 
 
 def _insertion_deltas(paths, clock, nodes, matrix: MultiLayerMatrix, bound=None) -> np.ndarray:
@@ -378,46 +381,33 @@ def run_grasp(matrix: MultiLayerMatrix, params: SolverParams, rng) -> SolveResul
 
 def _speculate(path, clock, draws, params: SolverParams, matrix: MultiLayerMatrix):
     """Run one improvement round per entry of `draws`, all from the tour
-    state (path, clock), in lockstep; return their (paths, clocks) as
-    (rounds x size) arrays, in round order.
+    state (path, clock), in lockstep; return their (paths, clocks) in round
+    order.
 
     A round's draws are its (deletion picks, reinsertion picks): ranks into
     the savings of each deletion and the slot deltas of each reinsertion.
-    Every round edits its own row in place: the tours after d deletions are
-    the first size - d columns.
     """
-    rounds, size = len(draws), len(path)
-    paths = np.tile(np.asarray(path, dtype=np.intp), (rounds, 1))
-    clocks = np.tile(np.asarray(clock, dtype=matrix.times.dtype), (rounds, 1))
-    deleted = np.empty((rounds, params.l_delete), dtype=np.intp)
+    paths = [list(path) for _ in draws]
+    clocks = [list(clock) for _ in draws]
+    deleted = [[] for _ in range(params.l_delete)]  # deleted[d][r]: round r's d-th deletion
     # every round deletes first from the same tour: price that move once
     tours = 1
     for d in range(params.l_delete):
-        end = size - d
-        savings = _deletion_savings(paths[:tours, :end], clocks[:tours, :end], matrix)
+        rows = np.array(paths[:tours], dtype=np.intp)
+        savings = _deletion_savings(rows, clocks[:tours], matrix)
         # per tour, clients by savings descending, ties by node id
-        ranked = np.lexsort((paths[:tours, 1 : end - 1], -savings.T))
-        ranked = np.broadcast_to(ranked, (rounds, end - 2))
+        ranked = np.lexsort((rows[:, 1:-1], -savings.T))
         for r, (picks, _) in enumerate(draws):
-            row, times, i = paths[r], clocks[r], 1 + int(ranked[r, picks[d]])
-            deleted[r, d] = row[i]
-            row[i : end - 1] = row[i + 1 : end]
-            times[i : end - 1] = _arrivals(
-                times.item(i - 1), row.item(i - 1), row[i : end - 1].tolist(), matrix
-            )
-        tours = rounds
-    for e in range(params.l_delete):
-        end = size - params.l_delete + e
-        deltas = _insertion_deltas(paths[:, :end], clocks[:, :end], deleted[:, e, None], matrix)
+            i = 1 + int(ranked[r % tours, picks[d]])
+            deleted[d].append(paths[r][i])
+            _delete(paths[r], clocks[r], i, matrix)
+        tours = len(draws)
+    for e, nodes in enumerate(deleted):
+        deltas = _insertion_deltas(paths, clocks, np.array(nodes)[:, None], matrix)
         # per round, slots by delta, ties by slot
         ranked = np.argsort(deltas[:, :, 0], axis=0, kind="stable")
         for r, (_, picks) in enumerate(draws):
-            row, times, p = paths[r], clocks[r], int(ranked[picks[e], r])
-            row[p + 2 : end + 1] = row[p + 1 : end]
-            row[p + 1] = deleted[r, e]
-            times[p + 1 : end + 1] = _arrivals(
-                times.item(p), row.item(p), row[p + 1 : end + 1].tolist(), matrix
-            )
+            _insert(paths[r], clocks[r], int(ranked[picks[e], r]), nodes[r], matrix)
     return paths, clocks
 
 
@@ -449,15 +439,13 @@ def improve(route, matrix: MultiLayerMatrix, params: SolverParams, rng) -> Solve
         rounds = draws[len(trace) : len(trace) + batch]
         paths, clocks = _speculate(best_path, best_clock, rounds, params, matrix)
         # the first round that beats the incumbent; the rounds after it are rerun
-        costs = clocks[:, -1].tolist()
-        won = next((r for r, cost in enumerate(costs) if cost < best_clock[-1]), None)
+        won = next((r for r, clock in enumerate(clocks) if clock[-1] < best_clock[-1]), None)
         if won is None:
             trace += [best_clock[-1]] * len(rounds)
             batch = min(2 * batch, MAX_BATCH)
         else:
             trace += [best_clock[-1]] * won
-            # the depot departure stays the int 0 that `_order_schedule` gave
-            best_path, best_clock = paths[won].tolist(), [0, *clocks[won, 1:].tolist()]
+            best_path, best_clock = paths[won], clocks[won]
             trace.append(best_clock[-1])
     schedule = Schedule(tuple(best_clock[:-1]), best_clock[-1])
     return _result(best_path[1:-1], schedule, trace, params)

@@ -1,18 +1,19 @@
 """Ground truth for small instances.
 
 The time-dependent arc costs make the integer formulation nonlinear, so the
-exact optimum comes from branch and bound over the lexicographic tree of
-client permutations, one level an array step. A partial tour is dropped
-when its clock plus each unvisited node's (the depot's too) cheapest
-incoming arc on any layer is strictly above the best cost known; on a float
-matrix, where a sum of bounds can round past the arcs it bounds, by over a
-relative 1e-13. The first best is a dive that keeps BEAM_WIDTH partial tours
-a level, so no solver bounds the oracle. Survivors keep lexicographic order
-and go down CHUNK at a time, so the first cheapest tour is the
-lexicographically smallest and memory stays bounded when nothing prunes.
-On 2 vCPUs 8 or 9 synthetic clients take 1-3 ms of CPU and 10 take 2-9 ms,
-but when every tour ties nothing prunes: 10 clients then take 0.15-0.3 s,
-hence MAX_CLIENTS. A separate checker verifies that an arc-variable solution
+exact optimum comes from branch and bound over the lexicographic tree of client
+permutations, one level an array step. A partial tour is dropped when its clock
+plus each unvisited node's (the depot's too) cheapest incoming arc on any layer
+is above the best cost known, or equal to it once the search has a tour that
+cheap: every later state is lexicographically greater and could only tie. On a
+float matrix, where a sum of bounds can round past the arcs it bounds, it must
+pass by a relative 1e-13. The first best is a dive that keeps BEAM_WIDTH
+partial tours a level, so no solver bounds the oracle. Survivors keep
+lexicographic order and go down CHUNK at a time, so the first cheapest tour is
+the lexicographically smallest and memory stays bounded when nothing prunes. On
+2 vCPUs 8-10 synthetic clients take 1-9 ms of CPU, but loose bounds (a cheap
+layer no tour reaches) prune nothing: 10 clients then take 0.15-0.3 s, hence
+MAX_CLIENTS. A separate checker verifies that an arc-variable solution
 satisfies the degree and Miller-Tucker-Zemlin subtour-elimination constraints.
 """
 
@@ -30,7 +31,7 @@ from .model import (
     _order_schedule, _same_nodes,
 )
 
-MAX_CLIENTS = 10  # when every tour ties nothing prunes, and 11 clients take 11 x as long
+MAX_CLIENTS = 10  # when the bounds are loose nothing prunes, and 11 clients take 11 x as long
 BEAM_WIDTH = 64
 CHUNK = 512  # states of a level handed down at once, at most 5,120 lanes
 SUFFIX_CLIENTS = 3  # the last clients, ordered every way at once behind each state
@@ -127,7 +128,8 @@ def brute_force_optimum(instance: Instance, matrix: MultiLayerMatrix) -> tuple[R
                 best_cost, best_order = cost, order
             return
         k, code, mask = step(k, code, mask, choices[level])
-        keep = k + low[mask] <= best_cost + best_cost * slack
+        within = np.less_equal if best_order is None else np.less
+        keep = within(k + low[mask], best_cost + best_cost * slack)
         k, code, mask = k[keep], code[keep], mask[keep]
         for a in range(0, len(k), CHUNK):
             search(level + 1, k[a:a + CHUNK], code[a:a + CHUNK], mask[a:a + CHUNK])

@@ -2,14 +2,17 @@
 
 The cases are the three instances of perfbench's exact-small workload at
 --seed (8, 8 and 9 clients, 6 layers x 1,800 s, set up as that workload sets
-them up), three random 10-client instances under the same profile, and the
+them up), three random 10-client instances under the same profile, the
 10-client matrix on which every tour ties (500 s an arc, 3 layers x 1,200 s),
-where nothing can be pruned. Each case's CPU time is this thread's
-`thread_time` over one call, the median of `--repeats` calls. A state priced
-is one lane of one arc step through `model._advance`; the full tree of c
-clients has c!/(c-1)! + c!/(c-2)! + ... + c! states, and c! more for the
-steps back to the depot. The tdvrp package is the one on PYTHONPATH, so the
-same script times any tree:
+where every state after the first tour is dropped as a tie, and a 10-client
+matrix whose bounds are loose (500 s an arc on layer 0 and 1 s on layer 1,
+which no tour reaches at a step of 10**9 s), where nothing can be pruned.
+Each case's CPU time is this thread's `thread_time` over one call, the
+median of `--repeats` calls. A state priced is one lane of one arc step
+through `model._advance`; the full tree of c clients has
+c!/(c-1)! + c!/(c-2)! + ... + c! states, and c! more for the steps back to
+the depot. The tdvrp package is the one on PYTHONPATH, so the same script
+times any tree:
 
     PYTHONPATH=src python3 tools/time_oracle.py
 """
@@ -51,6 +54,9 @@ def _cases(seed):
     times = np.full((3, 11, 11), 500, dtype=np.int64)
     times[:, range(11), range(11)] = 0
     yield "all-ties", (instance, MultiLayerMatrix(times=times, step_seconds=1200))
+    times = times[:2].copy()
+    times[1] //= 500
+    yield "loose", (instance, MultiLayerMatrix(times=times, step_seconds=10**9))
 
 
 def _priced(instance, matrix) -> int:
